@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "stats/histogram.hh"
 
 namespace equinox
 {
@@ -138,6 +137,7 @@ FleetRouter::FleetRouter(const Config &cfg,
             ever_active_[r] = 1;
         }
         provisioned_ = initial;
+        estimates_ = stats::SlidingWindow(cfg_.estimate_window);
         next_decision_ = cfg_.decision_interval;
         horizon_ = kNeverTick;
         stats_.min_active = initial;
@@ -271,11 +271,9 @@ FleetRouter::pick(Tick t)
     if (cfg_.autoscale) {
         // Feedback signal: the model latency the just-assigned request
         // is predicted to see, from the chosen replica's estimator.
-        estimates_.push_back(inner_[s]
-                                 .estimators()[local]
-                                 .lastAssignmentEstimateCycles());
-        if (estimates_.size() > cfg_.estimate_window)
-            estimates_.pop_front();
+        estimates_.push(inner_[s]
+                            .estimators()[local]
+                            .lastAssignmentEstimateCycles());
     }
     return base_[s] + local;
 }
@@ -327,9 +325,7 @@ FleetRouter::decide(Tick boundary)
     // actions in both directions.
     std::size_t desired = provisioned_;
     if (estimates_.size() >= cfg_.min_samples) {
-        scratch_.assign(estimates_.begin(), estimates_.end());
-        std::sort(scratch_.begin(), scratch_.end());
-        double p99 = stats::exactPercentileSorted(scratch_, 0.99);
+        double p99 = estimates_.percentile(0.99);
         if (p99 > cfg_.target_p99_cycles) {
             // Overload: proportional jump, never below the
             // feed-forward plan. The ratio is capped so a transient

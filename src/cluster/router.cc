@@ -162,17 +162,33 @@ Router::metric(std::size_t r) const
 }
 
 std::size_t
-Router::pickMin(Tick t, bool healthy_only) const
+Router::pickMin(Tick t)
 {
-    // Strict < with ascending scan: ties break to the lowest index,
-    // which the determinism contract (DESIGN.md section 2.4) requires.
+    // One ascending scan finds the best available replica (the pick)
+    // and the best overall (a health-blind router's pick: when that
+    // one is unavailable the candidate was re-routed). Strict < breaks
+    // ties to the lowest index, which the determinism contract
+    // (DESIGN.md section 2.4) requires.
     std::size_t best = kNoReplica;
+    std::size_t best_all = kNoReplica;
+    double best_m = 0.0;
+    double best_all_m = 0.0;
+    bool best_all_available = false;
     for (std::size_t r = 0; r < replicas_; ++r) {
-        if (healthy_only && !available(r, t))
-            continue;
-        if (best == kNoReplica || metric(r) < metric(best))
+        double m = metric(r);
+        bool ok = available(r, t);
+        if (best_all == kNoReplica || m < best_all_m) {
+            best_all = r;
+            best_all_m = m;
+            best_all_available = ok;
+        }
+        if (ok && (best == kNoReplica || m < best_m)) {
             best = r;
+            best_m = m;
+        }
     }
+    if (best != kNoReplica && !best_all_available)
+        ++rerouted_;
     return best;
 }
 
@@ -202,17 +218,9 @@ Router::pick(Tick t)
 {
     drainAll(t);
 
-    std::size_t choice;
-    if (policy_ == RoutingPolicy::RoundRobin) {
-        choice = pickRoundRobin(t);
-    } else {
-        choice = pickMin(t, true);
-        // Re-routed: the pick made ignoring health would have landed
-        // on a dead or vetoed replica (the round-robin path counts
-        // its own skips).
-        if (choice != kNoReplica && !available(pickMin(t, false), t))
-            ++rerouted_;
-    }
+    std::size_t choice = policy_ == RoutingPolicy::RoundRobin
+                             ? pickRoundRobin(t)
+                             : pickMin(t);
     if (choice == kNoReplica) {
         ++shed_;
         return kNoReplica;

@@ -168,7 +168,7 @@ class Router
     bool available(std::size_t replica, Tick t) const;
     std::size_t pickRoundRobin(Tick t);
     double metric(std::size_t r) const;
-    std::size_t pickMin(Tick t, bool healthy_only) const;
+    std::size_t pickMin(Tick t);
 
     RoutingPolicy policy_;
     std::size_t replicas_;

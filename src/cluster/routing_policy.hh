@@ -17,10 +17,10 @@
 #define EQUINOX_CLUSTER_ROUTING_POLICY_HH
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
+#include "stats/sliding_window.hh"
 
 namespace equinox
 {
@@ -55,7 +55,7 @@ class ReplicaEstimator
     /**
      * @param service_rate_per_cycle replica saturation rate in
      *        requests per clock cycle (must be > 0)
-     * @param window sliding-window length for windowP99()
+     * @param window sliding-window length for windowP99() (>= 1)
      */
     ReplicaEstimator(double service_rate_per_cycle, std::size_t window);
 
@@ -73,10 +73,11 @@ class ReplicaEstimator
 
     /**
      * p99 of the last `window` assignment-time latency estimates --
-     * the same interpolated order statistic stats::LatencyTracker
-     * computes, refreshed once per assignment and read for free.
+     * bitwise the order statistic stats::LatencyTracker computes over
+     * them; 0 before any assignment. The window is kept sorted as
+     * estimates arrive (stats::SlidingWindow), so a read is O(1).
      */
-    double windowP99() const { return window_p99_; }
+    double windowP99() const { return recent_.percentile(0.99); }
 
     /** Requests assigned to this replica so far. */
     std::uint64_t assigned() const { return assigned_; }
@@ -91,20 +92,15 @@ class ReplicaEstimator
     double
     lastAssignmentEstimateCycles() const
     {
-        return recent_.empty() ? 0.0 : recent_.back();
+        return recent_.newest();
     }
 
   private:
-    void refreshWindowP99();
-
     double rate_per_cycle_;
-    std::size_t window_;
     double backlog_ = 0.0;
     Tick last_ = 0;
     std::uint64_t assigned_ = 0;
-    std::deque<double> recent_;
-    std::vector<double> scratch_; //!< reused per-assignment sort buffer
-    double window_p99_ = 0.0;
+    stats::SlidingWindow recent_; //!< the last `window` estimates
 };
 
 } // namespace cluster

@@ -12,7 +12,11 @@
  *  - the CI-enforced acceptance criterion: under the
  *    flash_crowd_outage chaos scenario at equal offered load, the
  *    full control plane beats the shed-only baseline on BOTH
- *    inference availability and goodput.
+ *    inference availability and goodput,
+ *  - golden routing digests for the three front-ends (flat
+ *    latency_aware Router, ControlPlane with hedging and breakers,
+ *    autoscaled FleetRouter): every decision that reads a sliding
+ *    window p99 is pinned, not just its statistics.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include "cluster_digest.hh"
 #include "core/experiment.hh"
 #include "fault/chaos_plan.hh"
+#include "fault/traffic_mix.hh"
 #include "obs/metrics_snapshot.hh"
 
 namespace equinox
@@ -267,6 +272,100 @@ TEST(ResilienceCluster, SnapshotResilienceSectionRoundTrips)
     EXPECT_NE(dumped.find("\"goodput_rps\""), std::string::npos);
     EXPECT_NE(dumped.find("\"hedge\""), std::string::npos);
     EXPECT_NE(dumped.find("\"breaker\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Golden routing digests, one per front-end. latency_aware ranking,
+// the breaker latency trip, hedging and the autoscaler feedback loop
+// all read a sliding-window p99; these constants pin every routing
+// decision those reads drive, so a change to how the windows are kept
+// cannot move a single assignment unnoticed. Re-record only for a
+// deliberate routing behaviour change.
+
+/** Fold what the front-end decided (not the replica simulations). */
+std::uint64_t
+routingDigest(const cluster::ClusterPointResult &r)
+{
+    testutil::ResultDigest dg;
+    for (std::uint64_t v :
+         {r.generated_candidates, r.router_shed, r.rerouted,
+          r.shard_rerouted, r.resilience.dispatched,
+          r.resilience.retry_attempts, r.resilience.hedges_issued,
+          r.resilience.hedge_wins, r.resilience.breaker_opens,
+          r.resilience.breaker_denials, r.resilience.totalShed()})
+        dg.u64(v);
+    for (const auto &rep : r.per_replica)
+        dg.u64(rep.assigned_candidates);
+    dg.u64(r.autoscaler.transitions.size());
+    for (const auto &tr : r.autoscaler.transitions) {
+        dg.u64(tr.first);
+        dg.u64(tr.second);
+    }
+    return dg.value();
+}
+
+constexpr std::uint64_t kGoldenLatencyAwareRouting = 0x0230a039f1d9daecull;
+constexpr std::uint64_t kGoldenControlPlaneRouting = 0x9ef0519392599d24ull;
+constexpr std::uint64_t kGoldenAutoscaledFleetRouting =
+    0xba2fda73a9d49cf5ull;
+
+TEST(ResilienceCluster, GoldenRoutingDigestLatencyAwareRouter)
+{
+    cluster::ClusterSpec cspec;
+    cspec.replicas = 6;
+    cspec.policy = cluster::RoutingPolicy::LatencyAware;
+    cspec.chaos = fault::chaosScenario("replica_churn", kHorizonS);
+    auto r = runPoint(cspec, 0.9, 2);
+
+    EXPECT_FALSE(r.control_plane);
+    EXPECT_GT(r.rerouted, 0u);
+    EXPECT_EQ(routingDigest(r), kGoldenLatencyAwareRouting)
+        << std::hex << routingDigest(r);
+}
+
+TEST(ResilienceCluster, GoldenRoutingDigestHedgingControlPlane)
+{
+    cluster::ClusterSpec cspec;
+    cspec.replicas = 4;
+    cspec.policy = cluster::RoutingPolicy::JoinShortestQueue;
+    cspec.resilience = resilientSpec(200000);
+    // The latency trip makes every breaker probe read its replica's
+    // window p99, on top of the outage calendar.
+    cspec.resilience.breaker.latency_trip_cycles = 40000.0;
+    cspec.chaos = fault::chaosScenario("flash_crowd_outage", kHorizonS);
+    auto r = runPoint(cspec, 0.8, 2);
+
+    EXPECT_TRUE(r.control_plane);
+    EXPECT_GT(r.resilience.hedges_issued, 0u);
+    EXPECT_GT(r.resilience.retry_attempts, 0u);
+    EXPECT_GT(r.resilience.breaker_opens, 0u);
+    EXPECT_EQ(routingDigest(r), kGoldenControlPlaneRouting)
+        << std::hex << routingDigest(r);
+}
+
+TEST(ResilienceCluster, GoldenRoutingDigestAutoscaledFleet)
+{
+    cluster::ClusterSpec cspec;
+    cspec.replicas = 16;
+    cspec.policy = cluster::RoutingPolicy::JoinShortestQueue;
+    cspec.fleet.shards = 4;
+    cspec.fleet.shard_policy = cluster::RoutingPolicy::LatencyAware;
+    cspec.fleet.traffic = fault::trafficScenario("diurnal", kHorizonS);
+    cluster::AutoscalerSpec &as = cspec.fleet.autoscaler;
+    as.enabled = true;
+    as.min_replicas = 2;
+    as.initial_replicas = 8;
+    as.target_p99_s = 5e-4;
+    as.decision_interval_s = kHorizonS / 100.0;
+    as.cooldown_s = kHorizonS / 50.0;
+    as.warmup_s = kHorizonS / 200.0;
+    auto r = runPoint(cspec, 0.3, 2);
+
+    EXPECT_TRUE(r.autoscaled);
+    EXPECT_GT(r.autoscaler.scale_ups, 0u);
+    EXPECT_GT(r.autoscaler.scale_downs, 0u);
+    EXPECT_EQ(routingDigest(r), kGoldenAutoscaledFleetRouting)
+        << std::hex << routingDigest(r);
 }
 
 } // namespace

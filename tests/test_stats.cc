@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for src/stats: percentile tracking, histograms, cycle
- * breakdowns and table formatting.
+ * Unit tests for src/stats: percentile tracking, sliding-window
+ * percentiles, histograms, cycle breakdowns and table formatting.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <sstream>
 
@@ -14,6 +17,7 @@
 #include "stats/counter.hh"
 #include "stats/cycle_breakdown.hh"
 #include "stats/histogram.hh"
+#include "stats/sliding_window.hh"
 #include "stats/table.hh"
 
 namespace equinox
@@ -134,6 +138,69 @@ TEST(LatencyTrackerDeath, OutOfRangeQuantileIsFatal)
     EXPECT_DEATH(t.percentile(-0.1), "quantile out of range");
     // A NaN p fails the same range check instead of indexing garbage.
     EXPECT_DEATH(t.percentile(std::nan("")), "quantile out of range");
+}
+
+TEST(SlidingWindow, EmptyIsZeroAndNewestTracksLastPush)
+{
+    SlidingWindow w(3);
+    EXPECT_EQ(w.size(), 0u);
+    EXPECT_EQ(w.percentile(0.99), 0.0);
+    EXPECT_EQ(w.newest(), 0.0);
+    for (double x : {5.0, 1.0, 4.0, 2.0}) {
+        w.push(x);
+        EXPECT_EQ(w.newest(), x);
+    }
+    EXPECT_EQ(w.size(), 3u); // 5.0 left the window
+    EXPECT_EQ(w.percentile(0.0), 1.0);
+    EXPECT_EQ(w.percentile(1.0), 4.0);
+}
+
+TEST(SlidingWindow, PercentileIsBitwiseTrackerOverTheLastWindowSamples)
+{
+    // Seeded push streams drawn mostly from a small pool, so the
+    // window is full of exact ties, repeats and +inf. After every push
+    // each quantile must be bit-for-bit what a LatencyTracker built
+    // from the same last `window` samples reports.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double pool[] = {0.5, 1.0, 2.0, 2.0, 3.25, 1e6, inf};
+    const std::size_t pool_n = sizeof(pool) / sizeof(pool[0]);
+    Rng rng(20261017);
+    for (std::size_t window : {1u, 2u, 3u, 64u, 256u}) {
+        SlidingWindow w(window);
+        std::deque<double> shadow;
+        for (std::size_t i = 0; i < 3 * window + 64; ++i) {
+            double x = rng.uniform() < 0.8
+                           ? pool[rng.uniformInt(0, pool_n - 1)]
+                           : static_cast<double>(rng.uniformInt(0, 9));
+            w.push(x);
+            shadow.push_back(x);
+            if (shadow.size() > window)
+                shadow.pop_front();
+
+            LatencyTracker tracker;
+            for (double s : shadow)
+                tracker.record(s);
+            ASSERT_EQ(w.size(), shadow.size());
+            ASSERT_EQ(w.newest(), x);
+            for (double p : {0.0, 0.5, 0.99, 1.0}) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(w.percentile(p)),
+                          std::bit_cast<std::uint64_t>(
+                              tracker.percentile(p)))
+                    << "window " << window << " push " << i << " p "
+                    << p;
+            }
+        }
+    }
+}
+
+TEST(SlidingWindowDeath, NaNAndZeroLengthAreFatal)
+{
+    SlidingWindow w(4);
+    w.push(1.0);
+    // NaN has no place in the sorted order the binary searches use.
+    EXPECT_DEATH(w.push(std::nan("")), "NaN pushed into a sliding window");
+    EXPECT_DEATH(SlidingWindow(0), "nonzero length");
+    EXPECT_DEATH(w.percentile(1.5), "quantile out of range");
 }
 
 TEST(LatencyTracker, RecordAfterQueryStaysCorrect)
