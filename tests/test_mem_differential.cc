@@ -21,6 +21,12 @@
  *     workload) each checking the conservation laws: admitted ==
  *     retired + inflight, scratchpad/write-buffer byte conservation,
  *     prefetch accounting bounds, and monotone trace timestamps.
+ *
+ *  4. ACTIVE GOLDENS -- three non-trivial hierarchies pinned by a
+ *     digest of the sim result PLUS every MemStats counter, so a
+ *     change to LLC replacement, DCPT prediction, write combining or
+ *     scratchpad staging moves a golden even where the sim digest
+ *     (which never sees the mem counters) would not.
  */
 
 #include <gtest/gtest.h>
@@ -319,6 +325,89 @@ TEST(MemFuzz, ConservationLawsHoldAcrossConfigs)
         }
         EXPECT_GT(sink.count(TraceEventType::MemStage), 0u);
     }
+}
+
+// ---------------------------------------------------------------------
+// 4. Active-hierarchy goldens: sim digest + every MemStats counter
+// ---------------------------------------------------------------------
+
+/** Fold the sim digest and every hierarchy counter, in field order. */
+std::uint64_t
+activeDigestOf(const SimResult &r)
+{
+    const auto &m = r.mem;
+    testutil::ResultDigest dg;
+    dg.u64(digestOf(r));
+    dg.u64(m.active ? 1 : 0);
+    for (std::uint64_t v :
+         {m.reads, m.writes, m.read_bytes, m.write_bytes,
+          m.dram_transfers, m.llc_hits, m.llc_misses, m.llc_evictions,
+          m.prefetch_issued, m.prefetch_useful, m.prefetch_unused,
+          m.sp_fills, m.sp_drains, m.sp_bank_switches, m.sp_fill_stalls,
+          m.sp_bytes_filled, m.sp_bytes_drained, m.sp_high_water,
+          m.wb_writes, m.wb_combines, m.wb_drains, m.wb_bytes_in,
+          m.wb_bytes_drained, m.wb_occupancy}) {
+        dg.u64(v);
+    }
+    return dg.value();
+}
+
+/**
+ * The mixed run every active golden replays, with @p m enabled. The
+ * hidden-160 training model streams about 36k LLC lines: its working
+ * set fits the 1 MiB LLC (mostly hits) but thrashes the 256 KiB and
+ * 16 KiB ones (evictions, prefetched lines evicted unused).
+ */
+SimResult
+runActive(const mem::MemoryHierarchyConfig &m)
+{
+    auto cfg = testutil::smallConfig("mem-golden");
+    cfg.mem = m;
+    auto opts = sweepOptions();
+    opts.train_model->rnn.hidden = 160;
+    opts.measure_requests = 3000;
+    return core::runAtLoad(cfg, 0.5, opts).sim;
+}
+
+TEST(MemActive, GoldenPerfbenchGeometry)
+{
+    // The benchmark's colocated_lstm_mem hierarchy: 2 x 512 KiB
+    // scratchpad, the default 1 MiB LRU LLC, write buffer and DCPT.
+    mem::MemoryHierarchyConfig m;
+    m.scratchpad.enabled = true;
+    m.scratchpad.banks = 2;
+    m.scratchpad.bank_bytes = units::KiB(512);
+    m.llc.enabled = true;
+    m.write_buffer.enabled = true;
+    m.prefetch.kind = mem::PrefetchKind::Dcpt;
+    auto r = runActive(m);
+    EXPECT_GT(r.mem.llc_hits, r.mem.llc_misses);
+    EXPECT_GT(r.mem.prefetch_issued, 0u);
+    EXPECT_GT(r.mem.wb_combines, 0u);
+    EXPECT_EQ(activeDigestOf(r), 15782323395362051505ull);
+}
+
+TEST(MemActive, GoldenPlruNextLine)
+{
+    mem::MemoryHierarchyConfig m = fullHierarchy();
+    m.llc.replacement = mem::Replacement::PseudoLru;
+    auto r = runActive(m);
+    EXPECT_GT(r.mem.llc_evictions, 0u);
+    EXPECT_GT(r.mem.prefetch_unused, 0u);
+    EXPECT_EQ(activeDigestOf(r), 14770372296377697250ull);
+}
+
+TEST(MemActive, GoldenSmallEvictingLru)
+{
+    mem::MemoryHierarchyConfig m;
+    m.llc.enabled = true;
+    m.llc.size_bytes = units::KiB(16);
+    m.llc.line_bytes = 256;
+    m.llc.ways = 4;
+    auto r = runActive(m);
+    EXPECT_GT(r.mem.llc_evictions, 0u);
+    EXPECT_EQ(r.mem.prefetch_issued, 0u);
+    EXPECT_EQ(activeDigestOf(r), 11961693958019786843ull);
 }
 
 } // namespace
