@@ -9,38 +9,31 @@ namespace mem
 
 Llc::Llc(const LlcConfig &config)
     : cfg(config), sets_(config.sets()),
-      ways_(static_cast<std::size_t>(config.sets()) * config.ways),
-      plru_(config.sets(), 0)
+      lines_(static_cast<std::size_t>(config.sets()) * config.ways),
+      stamps_(lines_.size(), 0), prefetched_(lines_.size(), 0),
+      used_(config.sets(), 0), plru_(config.sets(), 0)
 {
     assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0);
 }
 
-int
-Llc::findWay(std::uint64_t set, Addr tag) const
+Llc::Probe
+Llc::probe(std::uint64_t set, Addr line) const
 {
-    const Way *base = &ways_[set * cfg.ways];
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return static_cast<int>(w);
+    const Addr *lines = &lines_[set * cfg.ways];
+    const std::uint64_t *stamps = &stamps_[set * cfg.ways];
+    unsigned used = used_[set];
+    unsigned lru = 0;
+    for (unsigned w = 0; w < used; ++w) {
+        if (lines[w] == line)
+            return {true, false, w};
+        // LRU victim: the oldest stamp, lowest way on a tie.
+        if (stamps[w] < stamps[lru])
+            lru = w;
     }
-    return -1;
-}
-
-unsigned
-Llc::victimWay(std::uint64_t set) const
-{
-    const Way *base = &ways_[set * cfg.ways];
-    if (cfg.replacement == Replacement::Lru) {
-        unsigned victim = 0;
-        std::uint64_t oldest = base[0].stamp;
-        for (unsigned w = 1; w < cfg.ways; ++w) {
-            if (base[w].stamp < oldest) {
-                oldest = base[w].stamp;
-                victim = w;
-            }
-        }
-        return victim;
-    }
+    if (used < cfg.ways)
+        return {false, false, used};
+    if (cfg.replacement == Replacement::Lru)
+        return {false, true, lru};
     // Tree-PLRU: walk the binary tree from the root, following each
     // node's bit (0 = go left, 1 = go right) to the pseudo-least-
     // recently-used leaf. Nodes are heap-indexed from 1; the bitmask
@@ -49,14 +42,13 @@ Llc::victimWay(std::uint64_t set) const
     unsigned node = 1;
     while (node < cfg.ways)
         node = 2 * node + ((bits >> node) & 1);
-    return node - cfg.ways;
+    return {false, true, node - cfg.ways};
 }
 
 void
 Llc::touch(std::uint64_t set, unsigned way)
 {
-    Way *base = &ways_[set * cfg.ways];
-    base[way].stamp = ++clock_;
+    stamps_[set * cfg.ways + way] = ++clock_;
     if (cfg.replacement == Replacement::PseudoLru) {
         // Flip each node on the root-to-leaf path to point AWAY from
         // the touched way.
@@ -76,51 +68,41 @@ Llc::touch(std::uint64_t set, unsigned way)
 }
 
 void
-Llc::install(std::uint64_t set, Addr tag, bool prefetched)
+Llc::install(std::uint64_t set, const Probe &p, Addr line, bool prefetched)
 {
-    Way *base = &ways_[set * cfg.ways];
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (!base[w].valid) {
-            base[w].valid = true;
-            base[w].tag = tag;
-            base[w].prefetched = prefetched;
-            touch(set, w);
-            return;
-        }
+    std::size_t i = set * cfg.ways + p.way;
+    if (p.evict) {
+        prefetch_unused_ += prefetched_[i];
+        ++evictions_;
+    } else {
+        ++used_[set];
     }
-    unsigned victim = victimWay(set);
-    if (base[victim].prefetched)
-        ++prefetch_unused_;
-    ++evictions_;
-    base[victim].tag = tag;
-    base[victim].prefetched = prefetched;
-    touch(set, victim);
+    lines_[i] = line;
+    prefetched_[i] = prefetched;
+    touch(set, p.way);
 }
 
 bool
 Llc::contains(Addr line) const
 {
-    return findWay(setOf(line), tagOf(line)) >= 0;
+    return probe(setOf(line), line).hit;
 }
 
 bool
 Llc::access(Addr line)
 {
     std::uint64_t set = setOf(line);
-    Addr tag = tagOf(line);
-    int way = findWay(set, tag);
-    if (way >= 0) {
+    Probe p = probe(set, line);
+    if (p.hit) {
         ++hits_;
-        Way &w = ways_[set * cfg.ways + way];
-        if (w.prefetched) {
-            w.prefetched = false;
-            ++prefetch_useful_;
-        }
-        touch(set, static_cast<unsigned>(way));
+        std::uint8_t &pf = prefetched_[set * cfg.ways + p.way];
+        prefetch_useful_ += pf;
+        pf = 0;
+        touch(set, p.way);
         return true;
     }
     ++misses_;
-    install(set, tag, false);
+    install(set, p, line, false);
     return false;
 }
 
@@ -128,10 +110,10 @@ bool
 Llc::fillPrefetch(Addr line)
 {
     std::uint64_t set = setOf(line);
-    Addr tag = tagOf(line);
-    if (findWay(set, tag) >= 0)
+    Probe p = probe(set, line);
+    if (p.hit)
         return false;
-    install(set, tag, true);
+    install(set, p, line, true);
     return true;
 }
 

@@ -68,33 +68,41 @@ class Llc
     std::uint64_t prefetchUnused() const { return prefetch_unused_; }
 
   private:
-    struct Way
+    std::uint64_t setOf(Addr line) const { return line & (sets_ - 1); }
+
+    /** Where a line stands in its set, from one pass over the ways. */
+    struct Probe
     {
-        bool valid = false;
-        bool prefetched = false; //!< installed by prefetch, not yet used
-        Addr tag = 0;
-        std::uint64_t stamp = 0; //!< LRU recency (higher = more recent)
+        bool hit;     //!< resident in `way`
+        bool evict;   //!< miss in a full set: `way` is the victim
+        unsigned way; //!< hit way, else the way to install into
     };
 
-    std::uint64_t setOf(Addr line) const { return line & (sets_ - 1); }
-    Addr tagOf(Addr line) const { return line / sets_; }
-
-    /** Way index of @p line in its set, or -1. */
-    int findWay(std::uint64_t set, Addr tag) const;
-
-    /** Pick the replacement victim way in @p set (set is full). */
-    unsigned victimWay(std::uint64_t set) const;
+    /**
+     * Find @p line in @p set, else the first free way, else the
+     * replacement victim -- in a single scan. Valid ways always form a
+     * prefix of the set (installs take the lowest free way and nothing
+     * invalidates), so only the first used_[set] ways are searched.
+     */
+    Probe probe(std::uint64_t set, Addr line) const;
 
     /** Update replacement state after touching @p way of @p set. */
     void touch(std::uint64_t set, unsigned way);
 
-    /** Install @p tag into @p set, evicting if needed. */
-    void install(std::uint64_t set, Addr tag, bool prefetched);
+    /** Install @p line where @p p says, counting an eviction if any. */
+    void install(std::uint64_t set, const Probe &p, Addr line,
+                 bool prefetched);
 
     LlcConfig cfg;
     std::uint64_t sets_;
-    std::vector<Way> ways_;       //!< sets_ * cfg.ways, set-major
-    std::vector<std::uint64_t> plru_; //!< per-set PLRU tree bitmask
+    // Per-way state, set-major (sets_ * cfg.ways), one array per field
+    // so an 8-way set's lines fill one host cache line. A way keeps its
+    // whole line address: within a set that is as good as a tag.
+    std::vector<Addr> lines_;
+    std::vector<std::uint64_t> stamps_;    //!< LRU recency (higher = newer)
+    std::vector<std::uint8_t> prefetched_; //!< prefetched, not yet used
+    std::vector<unsigned> used_;           //!< valid ways per set
+    std::vector<std::uint64_t> plru_;      //!< per-set PLRU tree bitmask
     std::uint64_t clock_ = 0;     //!< LRU stamp source
 
     std::uint64_t hits_ = 0;

@@ -85,10 +85,15 @@ MemoryHierarchy::read(Tick now, Addr addr, ByteCount bytes,
     // Prefetch: install candidates not already resident, one
     // low-priority link transfer each. Prefetch faults are not the
     // demand access's problem -- a poisoned prefetch line would fault
-    // on its demand re-read.
-    for (Addr cand : pf_candidates_) {
-        if (!llc_->fillPrefetch(cand))
+    // on its demand re-read. A candidate equal to the one before it is
+    // resident by now, so its fill would be a no-op: skip the probe
+    // (DCPT on a stride-1 stream proposes every line twice in a row).
+    for (std::size_t i = 0; i < pf_candidates_.size(); ++i) {
+        Addr cand = pf_candidates_[i];
+        if ((i > 0 && cand == pf_candidates_[i - 1]) ||
+            !llc_->fillPrefetch(cand)) {
             continue;
+        }
         ++prefetch_issued_;
         ++dram_transfers_;
         link_->transfer(now, line, dram::Priority::Low, nullptr);

@@ -89,12 +89,17 @@ class DcptPrefetcher : public PrefetchPolicy
     /** Region an address belongs to: one table entry per region. */
     Addr regionOf(Addr line) const { return line >> kRegionShift; }
 
+    /** The entry tracking @p region (the last one used, else scanFor). */
     Entry &entryFor(Addr region);
+
+    /** Find @p region's entry in the table, else recycle one for it. */
+    Entry &scanFor(Addr region);
 
     static constexpr unsigned kRegionShift = 6; //!< 64 lines per region
 
     PrefetchConfig cfg;
     std::vector<Entry> table;
+    std::size_t mru_ = 0; //!< the entry that served the last access
     std::uint64_t clock_ = 0;
 };
 
