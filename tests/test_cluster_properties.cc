@@ -135,6 +135,40 @@ TEST(Router, ShedsWhenEveryReplicaIsDown)
     EXPECT_NE(router.pick(150), cluster::kNoReplica);
 }
 
+TEST(Router, AvailabilityFilterIsQueriedInContractOrder)
+{
+    // The control plane's breakers change state when asked, so which
+    // replicas the filter is asked about, and in what order, is part
+    // of the routing contract (DESIGN.md section 2.4). Replica 1 is
+    // vetoed throughout.
+    std::vector<std::size_t> asked;
+    auto filter = [&asked](std::size_t r, Tick) {
+        asked.push_back(r);
+        return r != 1;
+    };
+
+    // Round-robin: from the cursor up to the first available replica.
+    cluster::Router rr(cluster::RoutingPolicy::RoundRobin, 4, 0.01, 4,
+                       {});
+    rr.setAvailabilityFilter(filter);
+    EXPECT_EQ(rr.pick(1), 0u);
+    EXPECT_EQ(rr.pick(2), 2u);
+    EXPECT_EQ(rr.pick(3), 3u);
+    EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+    // Min-metric policies: every replica, ascending, on every pick; a
+    // hedge alternate skips only the excluded replica.
+    asked.clear();
+    cluster::Router jsq(cluster::RoutingPolicy::JoinShortestQueue, 4, 0.01,
+                        4, {});
+    jsq.setAvailabilityFilter(filter);
+    EXPECT_EQ(jsq.pick(1), 0u);
+    EXPECT_EQ(jsq.pick(2), 2u);
+    EXPECT_EQ(jsq.pickAlternate(2, 2), 3u);
+    EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1, 2, 3, 0, 1, 2, 3, 0,
+                                               1, 3}));
+}
+
 TEST(Router, JoinShortestQueuePrefersEmptiestTieToLowestIndex)
 {
     cluster::Router router(cluster::RoutingPolicy::JoinShortestQueue, 3,

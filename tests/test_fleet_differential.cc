@@ -9,6 +9,9 @@
  *    round-robin cursor), and surge windows,
  *  - a 1-shard fleet Cluster run is byte-identical to the flat path
  *    under chaos plans, traffic mixes, and training placement,
+ *  - with several shards and every replica dark, the candidate goes
+ *    to the health-blind shard (the cursor, or the least-loaded shard)
+ *    and only that shard's inner rotation advances,
  *  - a pinned autoscaler (min == max == fleet size) routes exactly
  *    like an autoscaler-disabled fleet,
  *  - replicas >> workers: the strided fan-out is byte-identical to
@@ -160,6 +163,48 @@ TEST(FleetDifferential, OneShardRouterMatchesFlatEveryPolicy)
             EXPECT_EQ(fleet.shardRerouted(), 0u);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The shard tier's all-dark fallback, pick by pick: 6 replicas in 3
+// shards of 2, round-robin replicas, every replica dark for t in
+// [10, 20). Three dark candidates (an odd count) leave a visible mark
+// on whichever inner rotation sheds them.
+
+TEST(FleetDifferential, AllDarkCandidateShedsAtTheBlindShard)
+{
+    std::vector<cluster::RouterOutage> outages;
+    for (std::size_t r = 0; r < 6; ++r)
+        outages.push_back({r, 10, 20});
+    const std::vector<Tick> ticks = {1, 2, 3, 4, 10, 11, 12, 20, 21, 22};
+    constexpr std::size_t kShed = cluster::kNoReplica;
+
+    auto picks = [&](cluster::RoutingPolicy shard_policy) {
+        cluster::FleetRouter::Config fc;
+        fc.replica_policy = cluster::RoutingPolicy::RoundRobin;
+        fc.shard_policy = shard_policy;
+        fc.replicas = 6;
+        fc.shards = 3;
+        fc.service_rate_per_cycle = 0.01;
+        cluster::FleetRouter fleet(fc, outages);
+        std::vector<std::size_t> out;
+        for (Tick t : ticks)
+            out.push_back(fleet.pick(t));
+        EXPECT_EQ(fleet.shardRerouted(), 0u);
+        return out;
+    };
+
+    // Round-robin shards: the dark candidates go to the cursor's
+    // shards 1, 2, 0, one each, so every inner rotation moves by one.
+    EXPECT_EQ(picks(cluster::RoutingPolicy::RoundRobin),
+              (std::vector<std::size_t>{0, 2, 4, 1, kShed, kShed, kShed,
+                                        2, 4, 1}));
+    // JSQ shards: shard 0 took two requests before the blackout, so
+    // shard 1 has the least backlog and takes all three dark
+    // candidates; only its rotation moves (by three).
+    EXPECT_EQ(picks(cluster::RoutingPolicy::JoinShortestQueue),
+              (std::vector<std::size_t>{0, 2, 4, 1, kShed, kShed, kShed,
+                                        2, 5, 0}));
 }
 
 // ---------------------------------------------------------------------

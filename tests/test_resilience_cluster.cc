@@ -16,7 +16,11 @@
  *  - golden routing digests for the three front-ends (flat
  *    latency_aware Router, ControlPlane with hedging and breakers,
  *    autoscaled FleetRouter): every decision that reads a sliding
- *    window p99 is pinned, not just its statistics.
+ *    window p99 is pinned, not just its statistics,
+ *  - golden routing digests for a multi-shard fleet under outages:
+ *    the shard tier's reroute and its all-dark fallback (the chosen
+ *    shard's inner router sheds) are pinned for both shard-tier
+ *    ranking modes.
  */
 
 #include <gtest/gtest.h>
@@ -308,6 +312,10 @@ constexpr std::uint64_t kGoldenLatencyAwareRouting = 0x0230a039f1d9daecull;
 constexpr std::uint64_t kGoldenControlPlaneRouting = 0x9ef0519392599d24ull;
 constexpr std::uint64_t kGoldenAutoscaledFleetRouting =
     0xba2fda73a9d49cf5ull;
+constexpr std::uint64_t kGoldenShardOutageRoundRobinFleetRouting =
+    0x4f0ae63ee350b214ull;
+constexpr std::uint64_t kGoldenShardChurnLatencyAwareFleetRouting =
+    0x3de3c9b7933e28a5ull;
 
 TEST(ResilienceCluster, GoldenRoutingDigestLatencyAwareRouter)
 {
@@ -365,6 +373,62 @@ TEST(ResilienceCluster, GoldenRoutingDigestAutoscaledFleet)
     EXPECT_GT(r.autoscaler.scale_ups, 0u);
     EXPECT_GT(r.autoscaler.scale_downs, 0u);
     EXPECT_EQ(routingDigest(r), kGoldenAutoscaledFleetRouting)
+        << std::hex << routingDigest(r);
+}
+
+/** 12 replicas in 3 shards of 4 with no autoscaler or traffic mix. */
+cluster::ClusterSpec
+shardedFleetSpec(cluster::RoutingPolicy shard_policy,
+                 cluster::RoutingPolicy replica_policy)
+{
+    cluster::ClusterSpec cspec;
+    cspec.replicas = 12;
+    cspec.policy = replica_policy;
+    cspec.fleet.shards = 3;
+    cspec.fleet.shard_policy = shard_policy;
+    return cspec;
+}
+
+TEST(ResilienceCluster, GoldenRoutingDigestShardOutageRoundRobinFleet)
+{
+    auto cspec =
+        shardedFleetSpec(cluster::RoutingPolicy::RoundRobin,
+                         cluster::RoutingPolicy::JoinShortestQueue);
+    // Shard 1 (replicas 4-7) goes dark as a whole: the shard cursor
+    // skips it. The rack blackout later darkens every shard at once,
+    // so the cursor's shard takes the candidate and its inner router
+    // sheds it.
+    for (std::size_t r = 4; r < 8; ++r)
+        cspec.outages.push_back({r, 0.15 * kHorizonS, 0.30 * kHorizonS});
+    cspec.chaos = fault::chaosScenario("rack_blackout", kHorizonS);
+    auto r = runPoint(cspec, 0.8, 2);
+
+    EXPECT_FALSE(r.control_plane);
+    EXPECT_GT(r.shard_rerouted, 0u);
+    EXPECT_GT(r.router_shed, 0u);
+    EXPECT_EQ(routingDigest(r), kGoldenShardOutageRoundRobinFleetRouting)
+        << std::hex << routingDigest(r);
+}
+
+TEST(ResilienceCluster, GoldenRoutingDigestShardChurnLatencyAwareFleet)
+{
+    auto cspec = shardedFleetSpec(cluster::RoutingPolicy::LatencyAware,
+                                  cluster::RoutingPolicy::RoundRobin);
+    for (std::size_t r = 4; r < 8; ++r)
+        cspec.outages.push_back({r, 0.15 * kHorizonS, 0.30 * kHorizonS});
+    // A short all-dark window: the best shard overall takes each
+    // candidate and its inner router sheds it, advancing that shard's
+    // replica rotation (and no other shard's).
+    for (std::size_t r = 0; r < 12; ++r)
+        cspec.outages.push_back({r, 0.60 * kHorizonS, 0.63 * kHorizonS});
+    cspec.chaos = fault::chaosScenario("replica_churn", kHorizonS);
+    auto r = runPoint(cspec, 0.8, 2);
+
+    EXPECT_FALSE(r.control_plane);
+    EXPECT_GT(r.shard_rerouted, 0u);
+    EXPECT_GT(r.rerouted, r.shard_rerouted);
+    EXPECT_GT(r.router_shed, 0u);
+    EXPECT_EQ(routingDigest(r), kGoldenShardChurnLatencyAwareFleetRouting)
         << std::hex << routingDigest(r);
 }
 
