@@ -30,7 +30,12 @@
 #                                # a >10% events/s regression, a missing
 #                                # baseline, or a bench that never wrote
 #                                # its record; widen on noisy runners
-#                                # with EQX_BENCH_TOLERANCE)
+#                                # with EQX_BENCH_TOLERANCE), then run
+#                                # the repo benchmark's own tests
+#                                # (python3 perfbench/test_perfbench.py:
+#                                # builds perfbench, which calls the
+#                                # routing front-ends directly, and runs
+#                                # every workload once)
 #   scripts/check.sh --format    # only run the clang-format check
 #
 # The "resilience" ctest label is a subset of tier1, so the default run
@@ -100,6 +105,10 @@ run_bench_smoke() {
             "bench/baselines/BENCH_$bench.json" \
             "build/bench/BENCH_$bench.json"
     done
+    # Nothing in tier1 compiles perfbench, so an API change it depends
+    # on would otherwise surface only in the benchmark pipeline.
+    echo "check.sh: bench smoke: perfbench self-tests"
+    python3 perfbench/test_perfbench.py
 }
 
 case "${1:-}" in

@@ -246,11 +246,13 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
             // No replica available. Distinguish "breakers vetoed an
             // otherwise-alive fleet" for the accounting, then spend a
             // retry token if the budget and attempt cap allow.
-            bool any_alive = false;
-            for (std::size_t i = 0; i < replicas_ && !any_alive; ++i)
-                any_alive = router_.alive(i, t);
-            if (any_alive && spec_.breaker.enabled)
-                ++stats_.breaker_denials;
+            if (spec_.breaker.enabled) {
+                bool any_alive = false;
+                for (std::size_t i = 0; i < replicas_ && !any_alive; ++i)
+                    any_alive = router_.alive(i, t);
+                if (any_alive)
+                    ++stats_.breaker_denials;
+            }
 
             if (spec_.retry.enabled &&
                 ev.attempt + 1 < spec_.retry.max_attempts) {

@@ -15,7 +15,6 @@ namespace
 {
 
 constexpr Tick kNeverTick = std::numeric_limits<Tick>::max();
-constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
 std::size_t
 clampCount(std::size_t v, std::size_t lo, std::size_t hi)
@@ -201,59 +200,6 @@ FleetRouter::shardAvailable(std::size_t s, Tick t) const
     return inner_[s].anyAvailable(t);
 }
 
-double
-FleetRouter::shardMetric(std::size_t s) const
-{
-    return cfg_.shard_policy == RoutingPolicy::LatencyAware
-               ? shard_est_[s].windowP99()
-               : shard_est_[s].backlog();
-}
-
-std::size_t
-FleetRouter::pickShard(Tick t)
-{
-    if (cfg_.shard_policy == RoutingPolicy::RoundRobin) {
-        for (std::size_t i = 0; i < shards_; ++i) {
-            std::size_t cand = (shard_rr_ + i) % shards_;
-            if (shardAvailable(cand, t)) {
-                if (i > 0)
-                    ++shard_rerouted_;
-                shard_rr_ = (cand + 1) % shards_;
-                return cand;
-            }
-        }
-        // No shard has an available replica. The candidate still goes
-        // to the cursor's shard so THAT inner router sheds it and
-        // advances its own rotation -- with one shard this is exactly
-        // the flat router's shed path, which the byte-identity lemma
-        // requires.
-        std::size_t cand = shard_rr_;
-        shard_rr_ = (shard_rr_ + 1) % shards_;
-        return cand;
-    }
-
-    // Min-metric shard policies: strict < with ascending scan, ties to
-    // the lowest index (the same determinism contract as the flat
-    // pickMin).
-    std::size_t best_avail = kNoShard;
-    std::size_t best_all = kNoShard;
-    for (std::size_t s = 0; s < shards_; ++s) {
-        if (best_all == kNoShard ||
-            shardMetric(s) < shardMetric(best_all))
-            best_all = s;
-        if (!shardAvailable(s, t))
-            continue;
-        if (best_avail == kNoShard ||
-            shardMetric(s) < shardMetric(best_avail))
-            best_avail = s;
-    }
-    if (best_avail == kNoShard)
-        return best_all; // inner pick sheds
-    if (!shardAvailable(best_all, t))
-        ++shard_rerouted_;
-    return best_avail;
-}
-
 std::size_t
 FleetRouter::pick(Tick t)
 {
@@ -262,7 +208,17 @@ FleetRouter::pick(Tick t)
     for (auto &e : shard_est_)
         e.drainTo(t);
 
-    std::size_t s = pickShard(t);
+    RankedPick rp = rankReplicas(
+        cfg_.shard_policy, shard_est_, shard_rr_,
+        [&](std::size_t s) { return shardAvailable(s, t); });
+    shard_rr_ = rp.cursor;
+    if (rp.rerouted())
+        ++shard_rerouted_;
+    // No shard has an available replica: the candidate still goes to
+    // the blind choice so THAT inner router sheds it (and advances its
+    // own rotation) -- with one shard exactly the flat router's shed
+    // path, which the byte-identity lemma requires.
+    std::size_t s = rp.pick != kNoReplica ? rp.pick : rp.blind;
     std::size_t local = inner_[s].pick(t);
     if (local == kNoReplica)
         return kNoReplica; // the inner router counted the shed
@@ -293,30 +249,35 @@ FleetRouter::onCandidate(Tick t)
         ++interval_candidates_;
 }
 
-void
-FleetRouter::decide(Tick boundary)
+std::size_t
+FleetRouter::closeInterval(double len)
 {
-    ++stats_.decisions;
-    double len = static_cast<double>(cfg_.decision_interval);
     double rate = static_cast<double>(interval_candidates_) / len;
     interval_candidates_ = 0;
 
     // Feed-forward capacity plan: replicas needed to serve the
     // interval's observed arrival rate at the target utilization.
-    double mu = cfg_.service_rate_per_cycle;
-    auto ff_raw = static_cast<std::size_t>(
-        std::ceil(rate / (mu * cfg_.target_utilization)));
+    auto ff_raw = static_cast<std::size_t>(std::ceil(
+        rate / (cfg_.service_rate_per_cycle * cfg_.target_utilization)));
     std::size_t needed = clampCount(ff_raw, cfg_.min_active,
                                     max_active_);
 
     // Account the closed interval (provisioned_ is constant across it:
     // it only changes at boundaries).
-    double active = static_cast<double>(provisioned_);
-    stats_.active_replica_ticks += active * len;
+    stats_.active_replica_ticks += static_cast<double>(provisioned_) * len;
     stats_.needed_replica_ticks += static_cast<double>(needed) * len;
     if (provisioned_ > needed)
         stats_.over_provisioned_ticks +=
             static_cast<double>(provisioned_ - needed) * len;
+    return needed;
+}
+
+void
+FleetRouter::decide(Tick boundary)
+{
+    ++stats_.decisions;
+    std::size_t needed =
+        closeInterval(static_cast<double>(cfg_.decision_interval));
 
     // Control: proportional feedback on the estimate-stream p99 when
     // enough samples exist, feed-forward tracking before that. The
@@ -389,24 +350,8 @@ FleetRouter::finishRoute(Tick max_ticks)
     }
     // Account the partial tail interval [last boundary, horizon).
     Tick prev = next_decision_ - cfg_.decision_interval;
-    if (max_ticks > prev) {
-        double tail = static_cast<double>(max_ticks - prev);
-        double rate =
-            static_cast<double>(interval_candidates_) / tail;
-        auto ff_raw = static_cast<std::size_t>(std::ceil(
-            rate /
-            (cfg_.service_rate_per_cycle * cfg_.target_utilization)));
-        std::size_t needed = clampCount(ff_raw, cfg_.min_active,
-                                        max_active_);
-        stats_.active_replica_ticks +=
-            static_cast<double>(provisioned_) * tail;
-        stats_.needed_replica_ticks +=
-            static_cast<double>(needed) * tail;
-        if (provisioned_ > needed)
-            stats_.over_provisioned_ticks +=
-                static_cast<double>(provisioned_ - needed) * tail;
-        interval_candidates_ = 0;
-    }
+    if (max_ticks > prev)
+        closeInterval(static_cast<double>(max_ticks - prev));
     stats_.final_active = provisioned_;
     stats_.over_provision_frac =
         stats_.active_replica_ticks > 0.0
@@ -420,20 +365,9 @@ FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
                    Tick max_ticks, const std::vector<RouterSurge> &surges)
 {
     horizon_ = max_ticks;
-    RouterResult res;
-    res.traces.resize(cfg_.replicas);
-    res.assigned.assign(cfg_.replicas, 0);
-
-    std::vector<Tick> ticks =
-        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
-    res.generated = ticks.size();
-    for (Tick t : ticks) {
-        std::size_t g = pick(t);
-        if (g != kNoReplica) {
-            res.traces[g].push_back(t);
-            ++res.assigned[g];
-        }
-    }
+    RouterResult res =
+        routeCandidates(cfg_.replicas, rate_per_cycle, seed, max_ticks,
+                        surges, [this](Tick t) { return pick(t); });
     finishRoute(max_ticks);
 
     for (const auto &r : inner_) {

@@ -9,10 +9,9 @@
  * splits the fleet into contiguous balanced shards, runs ONE flat
  * Router per shard, and adds a shard-level RoutingPolicy over per-shard
  * fluid estimators whose service rate is the shard's aggregate
- * capacity. A candidate picks a shard (round-robin / JSQ / latency-
- * aware, same tie-to-lowest-index contract), then the shard's inner
- * Router picks the replica -- O(S + N/S) per candidate instead of
- * O(N).
+ * capacity. A candidate picks a shard through the same rankReplicas
+ * routine the inner routers use, then the shard's inner Router picks
+ * the replica -- O(S + N/S) per candidate instead of O(N).
  *
  * Identity lemma (tests/test_fleet_differential.cc): with 1 shard,
  * every pick delegates to the single inner Router with the exact call
@@ -218,14 +217,13 @@ class FleetRouter
 
     const AutoscalerStats &autoscalerStats() const { return stats_; }
 
-    const std::vector<Router> &innerRouters() const { return inner_; }
-
   private:
     bool shardAvailable(std::size_t s, Tick t) const;
-    double shardMetric(std::size_t s) const;
-    std::size_t pickShard(Tick t);
     bool routable(std::size_t replica, Tick t) const;
     void onCandidate(Tick t);
+    /** Feed-forward plan of the interval just closed (@p len ticks
+     *  long), with its provisioned/needed integrals accounted. */
+    std::size_t closeInterval(double len);
     void decide(Tick boundary);
     void setProvisioned(Tick boundary, std::size_t desired);
 

@@ -134,75 +134,18 @@ Router::meanBacklog() const
 }
 
 std::size_t
-Router::pickRoundRobin(Tick t)
-{
-    // The rotation pointer advances past dead replicas; the first
-    // healthy replica at or after it wins and the pointer moves on.
-    for (std::size_t i = 0; i < replicas_; ++i) {
-        std::size_t cand = (rr_next_ + i) % replicas_;
-        if (available(cand, t)) {
-            if (i > 0)
-                ++rerouted_;
-            rr_next_ = (cand + 1) % replicas_;
-            return cand;
-        }
-    }
-    rr_next_ = (rr_next_ + 1) % replicas_;
-    return kNoReplica;
-}
-
-double
-Router::metric(std::size_t r) const
-{
-    // LatencyAware ranks by observed window p99; every other policy
-    // (JSQ picks, round-robin hedge alternates) ranks by backlog.
-    return policy_ == RoutingPolicy::LatencyAware
-               ? estimators_[r].windowP99()
-               : estimators_[r].backlog();
-}
-
-std::size_t
-Router::pickMin(Tick t)
-{
-    // One ascending scan finds the best available replica (the pick)
-    // and the best overall (a health-blind router's pick: when that
-    // one is unavailable the candidate was re-routed). Strict < breaks
-    // ties to the lowest index, which the determinism contract
-    // (DESIGN.md section 2.4) requires.
-    std::size_t best = kNoReplica;
-    std::size_t best_all = kNoReplica;
-    double best_m = 0.0;
-    double best_all_m = 0.0;
-    bool best_all_available = false;
-    for (std::size_t r = 0; r < replicas_; ++r) {
-        double m = metric(r);
-        bool ok = available(r, t);
-        if (best_all == kNoReplica || m < best_all_m) {
-            best_all = r;
-            best_all_m = m;
-            best_all_available = ok;
-        }
-        if (ok && (best == kNoReplica || m < best_m)) {
-            best = r;
-            best_m = m;
-        }
-    }
-    if (best != kNoReplica && !best_all_available)
-        ++rerouted_;
-    return best;
-}
-
-std::size_t
 Router::pickAlternate(Tick t, std::size_t exclude) const
 {
-    std::size_t best = kNoReplica;
-    for (std::size_t r = 0; r < replicas_; ++r) {
-        if (r == exclude || !available(r, t))
-            continue;
-        if (best == kNoReplica || metric(r) < metric(best))
-            best = r;
-    }
-    return best;
+    // Round-robin has no metric of its own: its hedge alternates rank
+    // by backlog like JSQ.
+    RoutingPolicy by = policy_ == RoutingPolicy::RoundRobin
+                           ? RoutingPolicy::JoinShortestQueue
+                           : policy_;
+    return rankReplicas(by, estimators_, rr_next_,
+                        [&](std::size_t r) {
+                            return r != exclude && available(r, t);
+                        })
+        .pick;
 }
 
 void
@@ -218,35 +161,27 @@ Router::pick(Tick t)
 {
     drainAll(t);
 
-    std::size_t choice = policy_ == RoutingPolicy::RoundRobin
-                             ? pickRoundRobin(t)
-                             : pickMin(t);
-    if (choice == kNoReplica) {
+    RankedPick rp = rankReplicas(
+        policy_, estimators_, rr_next_,
+        [&](std::size_t r) { return available(r, t); });
+    rr_next_ = rp.cursor;
+    if (rp.rerouted())
+        ++rerouted_;
+    if (rp.pick == kNoReplica) {
         ++shed_;
         return kNoReplica;
     }
-    estimators_[choice].assign(t);
-    return choice;
+    estimators_[rp.pick].assign(t);
+    return rp.pick;
 }
 
 RouterResult
 Router::route(double rate_per_cycle, std::uint64_t seed, Tick max_ticks,
               const std::vector<RouterSurge> &surges)
 {
-    RouterResult res;
-    res.traces.resize(replicas_);
-    res.assigned.assign(replicas_, 0);
-
-    std::vector<Tick> ticks =
-        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
-    res.generated = ticks.size();
-    for (Tick t : ticks) {
-        std::size_t r = pick(t);
-        if (r != kNoReplica) {
-            res.traces[r].push_back(t);
-            ++res.assigned[r];
-        }
-    }
+    RouterResult res =
+        routeCandidates(replicas_, rate_per_cycle, seed, max_ticks,
+                        surges, [this](Tick t) { return pick(t); });
     res.shed = shed_;
     res.rerouted = rerouted_;
     return res;

@@ -80,6 +80,111 @@ struct RouterResult
     std::uint64_t rerouted = 0;
 };
 
+/**
+ * What one ranking scan decides: the pick (kNoReplica when nothing is
+ * available), the choice a health-blind router would have made, and
+ * the round-robin cursor to keep for the next scan.
+ */
+struct RankedPick
+{
+    std::size_t pick = kNoReplica;
+    std::size_t blind = kNoReplica;
+    std::size_t cursor = 0;
+
+    /** True when health moved the candidate off the blind choice. */
+    bool
+    rerouted() const
+    {
+        return pick != kNoReplica && pick != blind;
+    }
+};
+
+/**
+ * The routing tier's one ranking routine: the replica tier (Router)
+ * ranks its replicas with it, the shard tier (FleetRouter) its shards
+ * (DESIGN.md section 2.4).
+ *
+ * RoundRobin: the blind choice is @p cursor; availability is queried
+ * from the cursor onwards and the first available index wins. The
+ * cursor moves past the pick, or by one when nothing is available.
+ *
+ * Min-metric policies rank by window p99 (LatencyAware) or backlog
+ * (every other policy). One ascending scan queries availability for
+ * every index, in order, and keeps the best available index (the
+ * pick) and the best index overall (the blind choice). Strict < breaks
+ * ties to the lowest index. The cursor is returned unchanged.
+ *
+ * @p available(i) may be stateful (circuit breakers), which is why
+ * the order of its calls is part of this contract.
+ */
+template <typename Available>
+RankedPick
+rankReplicas(RoutingPolicy policy,
+             const std::vector<ReplicaEstimator> &estimators,
+             std::size_t cursor, Available &&available)
+{
+    const std::size_t n = estimators.size();
+    RankedPick res;
+    if (policy == RoutingPolicy::RoundRobin) {
+        res.blind = cursor;
+        for (std::size_t i = 0; i < n && res.pick == kNoReplica; ++i) {
+            std::size_t cand = (cursor + i) % n;
+            if (available(cand))
+                res.pick = cand;
+        }
+        res.cursor =
+            ((res.pick == kNoReplica ? cursor : res.pick) + 1) % n;
+        return res;
+    }
+
+    res.cursor = cursor;
+    double pick_m = 0.0;
+    double blind_m = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        double m = policy == RoutingPolicy::LatencyAware
+                       ? estimators[i].windowP99()
+                       : estimators[i].backlog();
+        if (res.blind == kNoReplica || m < blind_m) {
+            res.blind = i;
+            blind_m = m;
+        }
+        if (available(i) && (res.pick == kNoReplica || m < pick_m)) {
+            res.pick = i;
+            pick_m = m;
+        }
+    }
+    return res;
+}
+
+/**
+ * The routing tier's one candidate loop: draw the global stream and
+ * hand each candidate to @p pick, which returns a replica index or
+ * kNoReplica. Fills traces, assigned and generated; the caller adds
+ * its own shed and rerouted counts.
+ */
+template <typename Pick>
+RouterResult
+routeCandidates(std::size_t replicas, double rate_per_cycle,
+                std::uint64_t seed, Tick max_ticks,
+                const std::vector<RouterSurge> &surges, Pick &&pick)
+{
+    RouterResult res;
+    res.traces.resize(replicas);
+    res.assigned.assign(replicas, 0);
+
+    std::vector<Tick> ticks =
+        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
+    res.generated = ticks.size();
+    for (Tick t : ticks) {
+        std::size_t r = pick(t);
+        if (r != kNoReplica) {
+            res.traces[r].push_back(t);
+            ++res.assigned[r];
+        }
+    }
+    return res;
+}
+
 /** Splits the global arrival stream across replicas by policy. */
 class Router
 {
@@ -166,9 +271,6 @@ class Router
 
   private:
     bool available(std::size_t replica, Tick t) const;
-    std::size_t pickRoundRobin(Tick t);
-    double metric(std::size_t r) const;
-    std::size_t pickMin(Tick t);
 
     RoutingPolicy policy_;
     std::size_t replicas_;
