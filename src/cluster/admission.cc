@@ -44,21 +44,23 @@ AdmissionConfig::validate() const
         errors.push_back(oss.str());
     };
 
-    if (background_fraction < 0.0 || background_fraction > 1.0) {
+    if (!(background_fraction >= 0.0 && background_fraction <= 1.0)) {
         complain("admission.background_fraction must be in [0, 1] "
                  "(got ", background_fraction, ")");
     }
-    if (policy == AdmissionPolicy::TokenBucket && rate_factor <= 0.0) {
+    if (policy == AdmissionPolicy::TokenBucket &&
+        !(rate_factor > 0.0)) {
         complain("admission.rate_factor must be positive with the "
                  "token_bucket policy (got ", rate_factor,
                  "); 0 would admit nothing, ever");
     }
-    if (policy == AdmissionPolicy::TokenBucket && burst < 1.0) {
+    if (policy == AdmissionPolicy::TokenBucket && !(burst >= 1.0)) {
         complain("admission.burst must be >= 1 with the token_bucket "
                  "policy (got ", burst,
                  "); the bucket must hold at least one request");
     }
-    if (policy == AdmissionPolicy::QueueDepth && target_backlog <= 0.0) {
+    if (policy == AdmissionPolicy::QueueDepth &&
+        !(target_backlog > 0.0)) {
         complain("admission.target_backlog must be positive with the "
                  "queue_depth policy (got ", target_backlog, ")");
     }
@@ -68,12 +70,12 @@ AdmissionConfig::validate() const
                  "the first backlog excursion");
     }
     if (policy == AdmissionPolicy::PriorityShed) {
-        if (background_watermark <= 0.0) {
+        if (!(background_watermark > 0.0)) {
             complain("admission.background_watermark must be positive "
                      "with the priority_shed policy (got ",
                      background_watermark, ")");
         }
-        if (inference_watermark <= background_watermark) {
+        if (!(inference_watermark > background_watermark)) {
             complain("admission.inference_watermark (",
                      inference_watermark,
                      ") must exceed background_watermark (",

@@ -55,7 +55,7 @@ BreakerConfig::validate() const
                  "breaker is enabled, else HalfOpen closes without "
                  "evidence");
     }
-    if (latency_trip_cycles < 0.0) {
+    if (!(latency_trip_cycles >= 0.0)) {
         complain("breaker.latency_trip_cycles must be >= 0 (got ",
                  latency_trip_cycles, "); 0 disables the latency "
                  "signal");

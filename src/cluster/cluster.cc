@@ -36,17 +36,17 @@ ClusterSpec::validate() const
         errors.push_back("replicas must be >= 1");
     if (latency_window < 1)
         errors.push_back("latency_window must be >= 1");
-    if (burst_factor < 1.0)
+    if (!(burst_factor >= 1.0))
         errors.push_back("burst_factor must be >= 1");
     if (arrival_process == sim::ArrivalProcess::Bursty &&
-        burst_period_s <= 0.0)
+        !(burst_period_s > 0.0))
         errors.push_back("bursty arrivals need burst_period_s > 0");
     for (const auto &o : outages) {
         if (o.replica >= replicas)
             errors.push_back("outage names replica " +
                              std::to_string(o.replica) + " but only " +
                              std::to_string(replicas) + " exist");
-        if (o.from_s < 0.0 || o.to_s < o.from_s)
+        if (!(o.from_s >= 0.0 && o.to_s >= o.from_s))
             errors.push_back("outage window [" +
                              std::to_string(o.from_s) + ", " +
                              std::to_string(o.to_s) +

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <queue>
 #include <sstream>
 
-#include "common/logging.hh"
-#include "common/min_heap.hh"
 #include "common/random.hh"
 #include "stats/sliding_window.hh"
 
@@ -23,11 +22,11 @@ namespace
 constexpr std::uint64_t kPriorityStream = 104729ull;
 constexpr std::uint64_t kJitterStream = 130363ull;
 
-/** One dispatch attempt in the global time-ordered event heap. */
+/** One dispatch attempt: a fresh candidate or a backed-off retry. */
 struct DispatchEvent
 {
     Tick t = 0;
-    std::uint64_t seq = 0; //!< FIFO tiebreak at equal ticks
+    std::uint64_t seq = 0; //!< retry push order, FIFO at equal ticks
     unsigned attempt = 0;  //!< 0 = first offer, > 0 = retry
     bool background = false;
 };
@@ -73,12 +72,12 @@ ResilienceSpec::validate() const
                      "enabled (got ", retry.max_attempts,
                      "); the first attempt is not a retry");
         }
-        if (retry.max_budget <= 0.0) {
+        if (!(retry.max_budget > 0.0)) {
             complain("retry.max_budget must be positive when retries "
                      "are enabled (got ", retry.max_budget,
                      "); a zero budget sheds every retry it allows");
         }
-        if (retry.budget_ratio < 0.0) {
+        if (!(retry.budget_ratio >= 0.0)) {
             complain("retry.budget_ratio must be >= 0 (got ",
                      retry.budget_ratio, ")");
         }
@@ -87,18 +86,18 @@ ResilienceSpec::validate() const
                      "retries are enabled; an instant retry re-offers "
                      "into the same outage window");
         }
-        if (retry.backoff_multiplier < 1.0) {
+        if (!(retry.backoff_multiplier >= 1.0)) {
             complain("retry.backoff_multiplier must be >= 1 (got ",
                      retry.backoff_multiplier,
                      "); shrinking backoff invites livelock");
         }
-        if (retry.jitter_frac < 0.0) {
+        if (!(retry.jitter_frac >= 0.0)) {
             complain("retry.jitter_frac must be >= 0 (got ",
                      retry.jitter_frac, ")");
         }
     }
     if (hedge.enabled) {
-        if (hedge.latency_factor <= 0.0) {
+        if (!(hedge.latency_factor > 0.0)) {
             complain("hedge.latency_factor must be > 0 when hedging is "
                      "enabled (got ", hedge.latency_factor,
                      "); a non-positive threshold hedges every "
@@ -114,15 +113,16 @@ ResilienceSpec::validate() const
                      "(got ", hedge.min_samples, " with window ",
                      hedge.window, ")");
         }
-        if (hedge.max_hedge_fraction <= 0.0 ||
-            hedge.max_hedge_fraction > 1.0) {
+        if (!(hedge.max_hedge_fraction > 0.0 &&
+              hedge.max_hedge_fraction <= 1.0)) {
             complain("hedge.max_hedge_fraction must be in (0, 1] (got ",
                      hedge.max_hedge_fraction,
                      "); the hedge budget caps duplicates as a "
                      "fraction of dispatched requests");
         }
     }
-    if (shed_training_under_overload && training_shed_backlog <= 0.0) {
+    if (shed_training_under_overload &&
+        !(training_shed_backlog > 0.0)) {
         complain("training_shed_backlog must be positive when "
                  "shed_training_under_overload is set (got ",
                  training_shed_backlog,
@@ -194,21 +194,19 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
     Rng priority_rng(seed * kPriorityStream + 7);
     Rng jitter_rng(seed * kJitterStream + 11);
 
-    // All dispatch attempts -- fresh candidates and backed-off retries
-    // -- drain through one global min-heap ordered by (tick, seq), so
-    // the per-replica traces come out non-decreasing no matter how
-    // retries interleave with later arrivals. The candidate count is
-    // the heap's provable high-water mark (every round pops one event
-    // and pushes at most one retry), so one reserve() up front keeps
-    // the whole routing pass allocation-free.
-    ReservedMinHeap<DispatchEvent, LaterEvent> heap;
-    heap.reserve(ticks.size());
-    std::uint64_t seq = 0;
+    // Fresh candidates come in tick order, so only backed-off retries
+    // need a heap, ordered by (tick, push order). A retry dispatches
+    // before the next fresh candidate iff its tick is strictly earlier:
+    // at an equal tick the fresh candidate, created first, goes first.
+    // Every dispatch thus runs in (tick, creation) order and the
+    // per-replica traces come out non-decreasing however retries
+    // interleave with later arrivals.
+    std::priority_queue<DispatchEvent, std::vector<DispatchEvent>,
+                        LaterEvent>
+        retries;
+    std::uint64_t retry_seq = 0;
+    std::size_t next = 0;
     const double bg_frac = spec_.admission.background_fraction;
-    for (Tick t : ticks) {
-        bool bg = bg_frac > 0.0 && priority_rng.uniform() < bg_frac;
-        heap.push({t, seq++, 0, bg});
-    }
 
     double retry_tokens = spec_.retry.max_budget;
     // Hedging off leaves the window unused (and hedge.window
@@ -223,8 +221,17 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
             ++stats_.shed_inference_total;
     };
 
-    while (!heap.empty()) {
-        DispatchEvent ev = heap.pop();
+    while (next < ticks.size() || !retries.empty()) {
+        DispatchEvent ev;
+        if (!retries.empty() &&
+            (next == ticks.size() || retries.top().t < ticks[next])) {
+            ev = retries.top();
+            retries.pop();
+        } else {
+            ev.t = ticks[next++];
+            ev.background =
+                bg_frac > 0.0 && priority_rng.uniform() < bg_frac;
+        }
         const Tick t = ev.t;
 
         router_.drainAll(t);
@@ -268,8 +275,8 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                                          jitter_rng.uniform();
                     Tick delay = std::max<Tick>(
                         1, static_cast<Tick>(backoff));
-                    heap.push({t + delay, seq++, ev.attempt + 1,
-                               ev.background});
+                    retries.push({t + delay, retry_seq++,
+                                  ev.attempt + 1, ev.background});
                     continue;
                 }
                 ++stats_.retry_budget_exhausted;
@@ -327,13 +334,6 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
             hedge_window.push(est);
         }
     }
-
-    EQX_ASSERT(heap.reallocations() == 0,
-               "dispatch heap reallocated mid-route: reserve(",
-               ticks.size(), ") was not the high-water mark (saw ",
-               heap.highWater(), ")");
-    stats_.dispatch_heap_reallocs = heap.reallocations();
-    stats_.dispatch_heap_high_water = heap.highWater();
 
     for (const auto &b : breakers_) {
         stats_.breaker_opens += b.opens();

@@ -22,8 +22,8 @@
  *     health probes (outage state + window-p99 latency) keep failing.
  *
  * Determinism: candidates, priority tags, retry jitter, and chaos all
- * draw from separate seeded Rng streams; retries and hedges are
- * processed through one global time-ordered event heap so per-replica
+ * draw from separate seeded Rng streams; fresh candidates and backed-off
+ * retries dispatch in one (tick, creation) order so per-replica
  * traces stay non-decreasing and a run is a pure function of
  * (spec, rate, seed, horizon, surges). With every mechanism disabled
  * the Cluster never constructs a ControlPlane at all, so golden
@@ -143,15 +143,6 @@ struct ResilienceStats
      *  backlog threshold (drives the degradation fraction). */
     std::uint64_t overload_candidates = 0;
 
-    /**
-     * Allocation audit of the global dispatch heap: route() reserves
-     * the candidate count up front (each round pops one event and
-     * pushes at most one retry, so the initial fill is the provable
-     * high-water mark) and these must come out 0-realloc; the
-     * resilience suite pins that.
-     */
-    std::uint64_t dispatch_heap_reallocs = 0;
-    std::size_t dispatch_heap_high_water = 0;
     /** Training replicas the coordinator shed (filled by Cluster). */
     std::size_t training_replicas_shed = 0;
 

@@ -49,9 +49,9 @@ AutoscalerSpec::validate() const
             "autoscaler target_utilization must be in (0, 1]");
     if (!(decision_interval_s > 0.0))
         errors.push_back("autoscaler needs decision_interval_s > 0");
-    if (cooldown_s < 0.0)
+    if (!(cooldown_s >= 0.0))
         errors.push_back("autoscaler cooldown_s must be >= 0");
-    if (warmup_s < 0.0)
+    if (!(warmup_s >= 0.0))
         errors.push_back("autoscaler warmup_s must be >= 0");
     if (estimate_window < 1)
         errors.push_back("autoscaler estimate_window must be >= 1");

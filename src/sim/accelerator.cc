@@ -110,11 +110,7 @@ Accelerator::registerStats(stats::StatRegistry &reg)
     for (auto *b : ctx.blocks)
         b->registerStats(reg);
     // Batch-arena gauges are per-accelerator (deterministic for a given
-    // run sequence). The callback arena's counters are process-global
-    // and deliberately NOT registered here: they differ between
-    // fast-forwarded and cycle-accurate runs sharing a process, which
-    // would break the FF-vs-CA MetricsSnapshot identity the fastpath
-    // tests assert.
+    // run sequence).
     reg.registerStat("arena.batch_objects",
                      [this] {
                          return static_cast<double>(

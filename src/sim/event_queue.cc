@@ -86,10 +86,10 @@ EventQueue::runOne()
 {
     if (fifo_head_ >= fifo_.size() && !refillFifo())
         return false;
-    // Move the entry out before invoking: the callback may schedule
-    // more events (growing the FIFO) and the moved-out closure avoids
-    // a dangling reference into the reallocated vector.
-    Callback cb = std::move(fifo_[fifo_head_++].cb);
+    // Copy the callback out before invoking: it may schedule more
+    // events (growing the FIFO), and the copy avoids a dangling
+    // reference into the reallocated vector.
+    Callback cb = fifo_[fifo_head_++].cb;
     ++dispatched_;
     cb();
     return true;

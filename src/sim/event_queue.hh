@@ -19,12 +19,13 @@
  * encode priority as call order, never by racing on a tick.
  *
  * Representation (hot-path kernel overhaul):
- *  - Callback is a small-buffer-optimized type-erased callable. Every
- *    closure the simulator schedules (a block pointer plus a couple of
- *    scalars) is trivially copyable and well under kInlineBytes, so the
- *    steady state performs zero per-event heap allocations -- unlike
- *    std::function, whose 16-byte libstdc++ SBO spilled the common
- *    [this, batch, chunk] capture to the heap on every schedule().
+ *  - Callback is an inline-only type-erased callable. Every closure
+ *    the simulator schedules (a block pointer plus a couple of
+ *    scalars) is trivially copyable and at most kInlineBytes, and
+ *    nothing else compiles, so scheduling never allocates per event
+ *    -- unlike std::function, whose 16-byte libstdc++ SBO spilled the
+ *    common [this, batch, chunk] capture to the heap on every
+ *    schedule().
  *  - Dispatch is batched per tick: advancing to a new tick pops EVERY
  *    entry for that tick off the binary heap once, in (tick, seq)
  *    order, into a flat FIFO that is drained without re-heapifying.
@@ -51,13 +52,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 
 namespace equinox
@@ -66,109 +65,47 @@ namespace sim
 {
 
 /**
- * Move-only type-erased callable with small-buffer optimization.
+ * Inline-only type-erased callable.
  *
- * Trivially copyable callables up to kInlineBytes live inline in the
- * entry itself; anything larger (or with a non-trivial destructor)
- * falls back to a single heap allocation. Moves are a memcpy plus
- * nulling the source -- valid for the inline case because the payload
- * is trivially copyable, and for the heap case because only the owning
- * pointer moves.
+ * The payload always lives inline in the entry itself: the converting
+ * constructor accepts only trivially copyable, trivially destructible
+ * callables of at most kInlineBytes bytes and at most max_align_t
+ * alignment, so an oversized or owning closure is a compile error
+ * rather than a hidden allocation. Callback is itself trivially
+ * copyable: copying or moving one (or a queue Entry) is a memcpy, and
+ * nothing is ever destroyed.
  */
 class Callback
 {
   public:
     /**
      * Inline capture budget. 32 bytes fits every closure the blocks
-     * schedule today (block pointer + batch pointer + chunk is 24
-     * bytes), and keeps a queue Entry (when + seq + callback) at
-     * exactly one 64-byte cache line. Larger or non-trivial callables
-     * still work through the heap fallback.
+     * schedule (block pointer + batch pointer + chunk is 24 bytes),
+     * and keeps a queue Entry (when + seq + callback) at exactly one
+     * 64-byte cache line.
      */
     static constexpr std::size_t kInlineBytes = 32;
 
     Callback() = default;
 
-    template <typename Fn,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<Fn>, Callback>>>
+    template <typename Fn, typename D = std::decay_t<Fn>>
+        requires(!std::is_same_v<D, Callback> &&
+                 std::is_trivially_copyable_v<D> &&
+                 std::is_trivially_destructible_v<D> &&
+                 sizeof(D) <= kInlineBytes &&
+                 alignof(D) <= alignof(std::max_align_t))
     Callback(Fn &&fn) // NOLINT: intentional implicit conversion
+        : invoke_([](void *p) { (*static_cast<D *>(p))(); })
     {
-        using D = std::decay_t<Fn>;
-        if constexpr (sizeof(D) <= kInlineBytes &&
-                      alignof(D) <= alignof(std::max_align_t) &&
-                      std::is_trivially_copyable_v<D> &&
-                      std::is_trivially_destructible_v<D>) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<Fn>(fn));
-            invoke_ = [](void *p) { (*static_cast<D *>(p))(); };
-            destroy_ = nullptr;
-        } else {
-            // Heap fallback: payloads come from the callback arena's
-            // size-class freelists (common/arena.hh), so even oversized
-            // captures stop hitting malloc once the pool is warm.
-            void *mem =
-                common::callbackArenaAlloc(sizeof(D), alignof(D));
-            D *heap = ::new (mem) D(std::forward<Fn>(fn));
-            std::memcpy(buf_, &heap, sizeof(heap));
-            invoke_ = [](void *p) {
-                D *f;
-                std::memcpy(&f, p, sizeof(f));
-                (*f)();
-            };
-            destroy_ = [](void *p) {
-                D *f;
-                std::memcpy(&f, p, sizeof(f));
-                f->~D();
-                common::callbackArenaFree(f, sizeof(D), alignof(D));
-            };
-        }
+        ::new (static_cast<void *>(buf_)) D(std::forward<Fn>(fn));
     }
-
-    Callback(Callback &&other) noexcept
-        : invoke_(other.invoke_), destroy_(other.destroy_)
-    {
-        std::memcpy(buf_, other.buf_, sizeof(buf_));
-        other.invoke_ = nullptr;
-        other.destroy_ = nullptr;
-    }
-
-    Callback &
-    operator=(Callback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            invoke_ = other.invoke_;
-            destroy_ = other.destroy_;
-            std::memcpy(buf_, other.buf_, sizeof(buf_));
-            other.invoke_ = nullptr;
-            other.destroy_ = nullptr;
-        }
-        return *this;
-    }
-
-    Callback(const Callback &) = delete;
-    Callback &operator=(const Callback &) = delete;
-
-    ~Callback() { reset(); }
 
     explicit operator bool() const { return invoke_ != nullptr; }
-
-    /** True when the payload lives inline (no heap allocation). */
-    bool inlineStored() const { return invoke_ && !destroy_; }
 
     void operator()() { invoke_(buf_); }
 
   private:
-    void
-    reset()
-    {
-        if (destroy_)
-            destroy_(buf_);
-    }
-
     void (*invoke_)(void *) = nullptr;
-    /** Non-null only for heap-allocated payloads. */
-    void (*destroy_)(void *) = nullptr;
     alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Property suite for the event-kernel hot path: the small-buffer
- * Callback, the batched same-tick dispatch FIFO, and the reserved
- * min-heap. These pin the (tick, insertion-order) contract the golden
+ * Property suite for the event-kernel hot path: the inline-only
+ * Callback and the batched same-tick dispatch FIFO. These pin the
+ * (tick, insertion-order) contract the golden
  * identity digests stand on, under exactly the access patterns the
  * batched kernel optimizes -- current-tick self-scheduling,
  * interleaved schedule()/scheduleIn(), pool reuse across drained
@@ -15,10 +15,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
-#include "common/min_heap.hh"
 #include "common/random.hh"
 #include "sim/event_queue.hh"
 
@@ -29,14 +30,13 @@ namespace sim
 namespace
 {
 
-// ---------------------------------------------------------------- SBO
+// ------------------------------------------------------- Callback
 
 TEST(Callback, SmallTrivialCapturesStayInline)
 {
     int sink = 0;
     int *p = &sink;
     Callback cb([p] { *p = 42; });
-    EXPECT_TRUE(cb.inlineStored());
     cb();
     EXPECT_EQ(sink, 42);
 }
@@ -54,50 +54,54 @@ TEST(Callback, CaptureAtTheInlineLimitStaysInline)
     } fat{&sink, 1, 2, 3};
     static_assert(sizeof(Fat) == 32, "limit probe must be 32 bytes");
     Callback cb([fat] { *fat.out = fat.a + fat.b + fat.c; });
-    EXPECT_TRUE(cb.inlineStored());
     cb();
     EXPECT_EQ(sink, 6u);
 }
 
-TEST(Callback, OversizedCapturesFallBackToHeapAndStillRun)
+TEST(Callback, OnlyInlineCapturesCompile)
 {
-    std::uint64_t sink = 0;
-    std::array<std::uint64_t, 8> big{1, 2, 3, 4, 5, 6, 7, 8};
-    Callback cb([&sink, big] {
-        for (auto v : big)
-            sink += v;
-    });
-    EXPECT_FALSE(cb.inlineStored());
-    cb();
-    EXPECT_EQ(sink, 36u);
-}
+    // Every rejected capture below fails exactly one clause of the
+    // constructor's constraint: size, triviality, or alignment.
+    std::array<std::uint64_t, 4> big{};
+    int *p = nullptr;
+    auto oversized = [p, big] { (void)p, (void)big; };
+    static_assert(sizeof(oversized) == 40);
+    static_assert(std::is_trivially_copyable_v<decltype(oversized)>);
+    static_assert(!std::is_constructible_v<Callback, decltype(oversized)>);
 
-TEST(Callback, NonTrivialCapturesFallBackToHeap)
-{
-    // A std::vector capture is small but not trivially copyable, so it
-    // must take the owning heap path and destroy exactly once.
-    auto counter = std::make_shared<int>(0);
+    auto owner = std::make_shared<int>(0);
+    auto owning = [owner] { ++*owner; };
+    static_assert(sizeof(owning) <= Callback::kInlineBytes);
+    static_assert(!std::is_constructible_v<Callback, decltype(owning)>);
+
+    struct alignas(2 * alignof(std::max_align_t)) Wide
     {
-        Callback cb([counter] { ++*counter; });
-        EXPECT_FALSE(cb.inlineStored());
-        cb();
-        Callback moved = std::move(cb);
-        moved();
-    }
-    EXPECT_EQ(*counter, 2);
-    EXPECT_EQ(counter.use_count(), 1);
+        unsigned char bytes[Callback::kInlineBytes];
+    } wide{};
+    auto aligned = [wide] { (void)wide; };
+    static_assert(sizeof(aligned) <= Callback::kInlineBytes);
+    static_assert(std::is_trivially_copyable_v<decltype(aligned)>);
+    static_assert(!std::is_constructible_v<Callback, decltype(aligned)>);
+
+    auto fits = [p] { (void)p; };
+    static_assert(std::is_constructible_v<Callback, decltype(fits)>);
+    static_assert(std::is_trivially_copyable_v<Callback>);
 }
 
-TEST(Callback, MoveTransfersTheInlineBuffer)
+TEST(Callback, CopyCarriesTheInlineBuffer)
 {
+    // Callback is trivially copyable: a copy (or move) is a memcpy of
+    // the payload, and both copies run the same closure.
     int sink = 0;
     int *p = &sink;
+    EXPECT_FALSE(Callback{});
     Callback a([p] { ++*p; });
-    Callback b = std::move(a);
-    EXPECT_FALSE(a);
+    Callback b = a;
+    ASSERT_TRUE(a);
     ASSERT_TRUE(b);
+    a();
     b();
-    EXPECT_EQ(sink, 1);
+    EXPECT_EQ(sink, 2);
 }
 
 // ------------------------------------------- batched same-tick FIFO
@@ -318,52 +322,6 @@ TEST(EventKernel, FuzzMatchesReferenceModel)
         ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
         EXPECT_EQ(got, want) << "seed " << seed;
     }
-}
-
-// ------------------------------------------------- ReservedMinHeap
-
-TEST(ReservedMinHeap, OrdersByComparatorWithSeqTiebreak)
-{
-    struct Ev
-    {
-        Tick t;
-        std::uint64_t seq;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Ev &a, const Ev &b) const
-        {
-            if (a.t != b.t)
-                return a.t > b.t;
-            return a.seq > b.seq;
-        }
-    };
-    ReservedMinHeap<Ev, Later> heap;
-    heap.reserve(8);
-    heap.push({30, 0});
-    heap.push({10, 1});
-    heap.push({10, 2});
-    heap.push({20, 3});
-    std::vector<std::uint64_t> seqs;
-    while (!heap.empty())
-        seqs.push_back(heap.pop().seq);
-    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3, 0}));
-    EXPECT_EQ(heap.reallocations(), 0u);
-    EXPECT_EQ(heap.highWater(), 4u);
-}
-
-TEST(ReservedMinHeap, CountsReallocationsWhenUnderReserved)
-{
-    struct Less
-    {
-        bool operator()(int a, int b) const { return a > b; }
-    };
-    ReservedMinHeap<int, Less> heap;
-    for (int i = 0; i < 100; ++i)
-        heap.push(i);
-    EXPECT_GT(heap.reallocations(), 0u);
-    EXPECT_EQ(heap.highWater(), 100u);
 }
 
 } // namespace

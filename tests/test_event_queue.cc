@@ -161,30 +161,39 @@ namespace
 
 TEST(EventQueueProperty, RandomScheduleDispatchesInOrder)
 {
-    Rng rng(17);
-    EventQueue q;
-    Tick last_seen = 0;
-    bool violated = false;
-    int scheduled = 0;
-    // Seed events; each callback may schedule more into the future.
-    for (int i = 0; i < 200; ++i)
-        q.schedule(rng.uniformInt(0, 10000), [&, i] {
+    // Callbacks capture one pointer to the shared state, as simulator
+    // handlers do.
+    struct State
+    {
+        Rng rng{17};
+        EventQueue q;
+        Tick last_seen = 0;
+        bool violated = false;
+        int scheduled = 0;
+
+        void
+        observe()
+        {
             if (q.now() < last_seen)
                 violated = true;
             last_seen = q.now();
-            if (scheduled < 5000 && rng.uniform() < 0.4) {
-                ++scheduled;
-                q.scheduleIn(rng.uniformInt(0, 500) + 1, [&] {
-                    if (q.now() < last_seen)
-                        violated = true;
-                    last_seen = q.now();
-                });
+        }
+    } st;
+    State *s = &st;
+    // Seed events; each callback may schedule more into the future.
+    for (int i = 0; i < 200; ++i)
+        st.q.schedule(st.rng.uniformInt(0, 10000), [s] {
+            s->observe();
+            if (s->scheduled < 5000 && s->rng.uniform() < 0.4) {
+                ++s->scheduled;
+                s->q.scheduleIn(s->rng.uniformInt(0, 500) + 1,
+                                [s] { s->observe(); });
             }
         });
-    while (q.runOne()) {
+    while (st.q.runOne()) {
     }
-    EXPECT_FALSE(violated);
-    EXPECT_GE(q.dispatched(), 200u);
+    EXPECT_FALSE(st.violated);
+    EXPECT_GE(st.q.dispatched(), 200u);
 }
 
 } // namespace

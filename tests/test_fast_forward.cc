@@ -31,7 +31,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -129,25 +128,33 @@ TEST(FastForwardQueue, RunLimitCapsInlineDispatch)
 
 TEST(FastForwardQueue, DepthCapFallsBackToHeap)
 {
-    EventQueue q;
-    q.setFastForward(true, 1u << 20);
-    int fired = 0;
-    Tick last = 0;
-    std::function<void()> chain = [&] {
-        EXPECT_GE(q.now(), last);
-        last = q.now();
-        if (++fired < 300)
-            q.scheduleFastIn(1, chain);
-    };
-    q.schedule(1, chain);
-    while (q.runOne()) {
+    // A self-rescheduling chain; each link captures one pointer to
+    // the chain's state, as simulator handlers do.
+    struct Chain
+    {
+        EventQueue q;
+        int fired = 0;
+        Tick last = 0;
+
+        void
+        step()
+        {
+            EXPECT_GE(q.now(), last);
+            last = q.now();
+            if (++fired < 300)
+                q.scheduleFastIn(1, [this] { step(); });
+        }
+    } c;
+    c.q.setFastForward(true, 1u << 20);
+    c.q.schedule(1, [s = &c] { s->step(); });
+    while (c.q.runOne()) {
     }
-    EXPECT_EQ(fired, 300);
-    EXPECT_EQ(q.dispatched(), 300u);
+    EXPECT_EQ(c.fired, 300);
+    EXPECT_EQ(c.q.dispatched(), 300u);
     // Deep chains unwind through the heap every kMaxInlineDepth
     // frames, so some -- not all -- dispatches are inlined.
-    EXPECT_GT(q.inlined(), 0u);
-    EXPECT_LT(q.inlined(), 300u);
+    EXPECT_GT(c.q.inlined(), 0u);
+    EXPECT_LT(c.q.inlined(), 300u);
 }
 
 TEST(FastForwardQueue, DisabledQueueNeverInlines)

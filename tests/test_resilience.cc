@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the overload-resilience control plane: ChaosPlan /
- * ResilienceSpec validation messages, the admission policies, the
+ * ResilienceSpec / ClusterSpec validation messages, the admission
+ * policies, the
  * circuit-breaker state machine, chaos materialization determinism,
  * surge-aware arrival generation, and the ControlPlane conservation
  * identities.
@@ -11,11 +12,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cluster/admission.hh"
 #include "cluster/circuit_breaker.hh"
+#include "cluster/cluster.hh"
 #include "cluster/control_plane.hh"
 #include "cluster/router.hh"
 #include "common/random.hh"
@@ -222,6 +225,132 @@ TEST(ResilienceSpecValidate, RejectsBadBreakerKnobs)
     EXPECT_TRUE(anyErrorContains(errors, "breaker.cooldown_cycles"));
     EXPECT_TRUE(anyErrorContains(errors, "breaker.halfopen_probes"));
     EXPECT_TRUE(anyErrorContains(errors, "breaker.latency_trip_cycles"));
+}
+
+TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
+{
+    // Every bound is written so that NaN fails it: a NaN knob that
+    // slipped through would reach a double-to-Tick cast (backoff,
+    // cooldown, warm-up) or a comparison that is silently false.
+    struct Knob
+    {
+        const char *field; //!< substring the error must contain
+        double valid;
+        void (*set)(cluster::ClusterSpec &, double);
+    };
+    using cluster::AdmissionPolicy;
+    using Spec = cluster::ClusterSpec;
+    const Knob knobs[] = {
+        {"retry.backoff_multiplier", 2.0,
+         [](Spec &c, double v) {
+             c.resilience.retry.enabled = true;
+             c.resilience.retry.backoff_multiplier = v;
+         }},
+        {"retry.jitter_frac", 0.25,
+         [](Spec &c, double v) {
+             c.resilience.retry.enabled = true;
+             c.resilience.retry.jitter_frac = v;
+         }},
+        {"retry.max_budget", 32.0,
+         [](Spec &c, double v) {
+             c.resilience.retry.enabled = true;
+             c.resilience.retry.max_budget = v;
+         }},
+        {"retry.budget_ratio", 0.1,
+         [](Spec &c, double v) {
+             c.resilience.retry.enabled = true;
+             c.resilience.retry.budget_ratio = v;
+         }},
+        {"hedge.latency_factor", 2.0,
+         [](Spec &c, double v) {
+             c.resilience.hedge.enabled = true;
+             c.resilience.hedge.latency_factor = v;
+         }},
+        {"hedge.max_hedge_fraction", 0.02,
+         [](Spec &c, double v) {
+             c.resilience.hedge.enabled = true;
+             c.resilience.hedge.max_hedge_fraction = v;
+         }},
+        {"training_shed_backlog", 2.0,
+         [](Spec &c, double v) {
+             c.resilience.shed_training_under_overload = true;
+             c.resilience.training_shed_backlog = v;
+         }},
+        {"admission.background_fraction", 0.3,
+         [](Spec &c, double v) {
+             c.resilience.admission.background_fraction = v;
+         }},
+        {"admission.rate_factor", 1.0,
+         [](Spec &c, double v) {
+             c.resilience.admission.policy = AdmissionPolicy::TokenBucket;
+             c.resilience.admission.rate_factor = v;
+         }},
+        {"admission.burst", 32.0,
+         [](Spec &c, double v) {
+             c.resilience.admission.policy = AdmissionPolicy::TokenBucket;
+             c.resilience.admission.burst = v;
+         }},
+        {"admission.target_backlog", 4.0,
+         [](Spec &c, double v) {
+             c.resilience.admission.policy = AdmissionPolicy::QueueDepth;
+             c.resilience.admission.target_backlog = v;
+         }},
+        {"admission.background_watermark", 2.0,
+         [](Spec &c, double v) {
+             c.resilience.admission.policy =
+                 AdmissionPolicy::PriorityShed;
+             c.resilience.admission.background_watermark = v;
+         }},
+        {"admission.inference_watermark", 8.0,
+         [](Spec &c, double v) {
+             c.resilience.admission.policy =
+                 AdmissionPolicy::PriorityShed;
+             c.resilience.admission.inference_watermark = v;
+         }},
+        {"breaker.latency_trip_cycles", 0.0,
+         [](Spec &c, double v) {
+             c.resilience.breaker.enabled = true;
+             c.resilience.breaker.latency_trip_cycles = v;
+         }},
+        {"autoscaler cooldown_s", 3e-3,
+         [](Spec &c, double v) {
+             c.fleet.autoscaler.enabled = true;
+             c.fleet.autoscaler.target_p99_s = 1e-3;
+             c.fleet.autoscaler.cooldown_s = v;
+         }},
+        {"autoscaler warmup_s", 5e-4,
+         [](Spec &c, double v) {
+             c.fleet.autoscaler.enabled = true;
+             c.fleet.autoscaler.target_p99_s = 1e-3;
+             c.fleet.autoscaler.warmup_s = v;
+         }},
+        {"burst_factor", 4.0,
+         [](Spec &c, double v) { c.burst_factor = v; }},
+        {"burst_period_s", 2e-3,
+         [](Spec &c, double v) {
+             c.arrival_process = sim::ArrivalProcess::Bursty;
+             c.burst_period_s = v;
+         }},
+        {"outage window", 1e-3,
+         [](Spec &c, double v) {
+             c.replicas = 2;
+             c.outages = {{1, v, 2e-3}};
+         }},
+        {"outage window", 2e-3,
+         [](Spec &c, double v) {
+             c.replicas = 2;
+             c.outages = {{1, 1e-3, v}};
+         }},
+    };
+    for (const auto &k : knobs) {
+        Spec ok;
+        k.set(ok, k.valid);
+        EXPECT_TRUE(ok.validate().empty()) << k.field;
+
+        Spec bad;
+        k.set(bad, std::numeric_limits<double>::quiet_NaN());
+        EXPECT_TRUE(anyErrorContains(bad.validate(), k.field)) << k.field;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -671,22 +800,15 @@ TEST(ControlPlane, ConservationIdentitiesHoldUnderChaos)
         // Hedge wins cannot exceed hedges; recoveries need attempts.
         EXPECT_LE(s.hedge_wins, s.hedges_issued);
         EXPECT_LE(s.retry_recovered, s.retry_attempts);
-        // The dispatch heap was reserved to the candidate count up
-        // front; retries re-push while draining, so even under chaos
-        // the routing pass must stay allocation-free.
-        EXPECT_EQ(s.dispatch_heap_reallocs, 0u) << "seed " << seed;
-        EXPECT_LE(s.dispatch_heap_high_water,
-                  static_cast<std::size_t>(res.generated))
-            << "seed " << seed;
     }
 }
 
-TEST(ControlPlane, DispatchHeapNeverReallocatesMidRoute)
+TEST(ControlPlane, RetryHeavyRouteKeepsTracesOrdered)
 {
-    // Pin of the reserve contract on the retry-heavy path: a
-    // fleet-wide outage maximizes retry re-pushes into the heap while
-    // it drains, which is exactly when an under-reserved heap would
-    // grow. The candidate count must remain the high-water mark.
+    // A fleet-wide outage backs off many retries at once, so retries
+    // interleave with later fresh candidates: every dispatch must
+    // still land in tick order on its replica, and every candidate
+    // must be dispatched or shed exactly once.
     cluster::ResilienceSpec spec;
     spec.retry.enabled = true;
     spec.retry.max_attempts = 6;
@@ -702,10 +824,22 @@ TEST(ControlPlane, DispatchHeapNeverReallocatesMidRoute)
     auto res = cp.route(1.6e-3, 7, horizon);
     const auto &s = cp.stats();
     EXPECT_GT(s.retry_attempts, 0u);
-    EXPECT_EQ(s.dispatch_heap_reallocs, 0u);
-    EXPECT_GT(s.dispatch_heap_high_water, 0u);
-    EXPECT_LE(s.dispatch_heap_high_water,
-              static_cast<std::size_t>(res.generated));
+    EXPECT_GT(s.retry_recovered, 0u);
+    for (std::size_t r = 0; r < res.traces.size(); ++r) {
+        EXPECT_TRUE(std::is_sorted(res.traces[r].begin(),
+                                   res.traces[r].end()))
+            << "replica " << r;
+    }
+    EXPECT_EQ(res.generated, s.dispatched + s.totalShed());
+    EXPECT_EQ(s.admission.admitted,
+              s.dispatched + s.retry_shed + s.outage_shed);
+    std::uint64_t assigned = 0;
+    for (auto a : res.assigned)
+        assigned += a;
+    EXPECT_EQ(assigned, s.dispatched + s.hedges_issued);
+    EXPECT_EQ(s.totalShed(),
+              s.shed_background_total + s.shed_inference_total);
+    EXPECT_LE(s.retry_recovered, s.retry_attempts);
 }
 
 TEST(ControlPlane, HedgeBudgetCapsDuplicates)
