@@ -37,6 +37,11 @@
 #                                # routing front-ends directly, and runs
 #                                # every workload once)
 #   scripts/check.sh --format    # only run the clang-format check
+#   scripts/check.sh --digests   # print the result digest of every
+#                                # workload in BENCHMARK.json (perfbench
+#                                # at --seed 1, one short run each), for
+#                                # diffing a behaviour-preserving change
+#                                # against its parent commit
 #
 # The "resilience" ctest label is a subset of tier1, so the default run
 # (and the asan/tsan presets, via the tier1/parallel labels) already
@@ -111,6 +116,18 @@ run_bench_smoke() {
     python3 perfbench/test_perfbench.py
 }
 
+run_digests() {
+    # The driver prints one "digest <workload> <hex>" line per run; a
+    # workload that prints none fails the pipeline (pipefail).
+    local workloads w
+    workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+    for w in $workloads; do
+        python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0.1 \
+            --trace 0 | grep '^digest '
+    done
+}
+
 case "${1:-}" in
   --format)
     run_format_check
@@ -144,13 +161,16 @@ case "${1:-}" in
   --bench-smoke)
     run_bench_smoke
     ;;
+  --digests)
+    run_digests
+    ;;
   "")
     run_format_check
     run_preset default
     ;;
   *)
     echo "usage: scripts/check.sh" \
-         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--format]" >&2
+         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--digests|--format]" >&2
     exit 2
     ;;
 esac

@@ -86,13 +86,17 @@ ResilienceSpec::validate() const
                      "retries are enabled; an instant retry re-offers "
                      "into the same outage window");
         }
-        if (!(retry.backoff_multiplier >= 1.0)) {
-            complain("retry.backoff_multiplier must be >= 1 (got ",
-                     retry.backoff_multiplier,
+        // Both knobs scale a backoff that is cast to Tick, so an
+        // infinite one is rejected along with NaN.
+        if (!(retry.backoff_multiplier >= 1.0) ||
+            !std::isfinite(retry.backoff_multiplier)) {
+            complain("retry.backoff_multiplier must be finite and >= 1 "
+                     "(got ", retry.backoff_multiplier,
                      "); shrinking backoff invites livelock");
         }
-        if (!(retry.jitter_frac >= 0.0)) {
-            complain("retry.jitter_frac must be >= 0 (got ",
+        if (!(retry.jitter_frac >= 0.0) ||
+            !std::isfinite(retry.jitter_frac)) {
+            complain("retry.jitter_frac must be finite and >= 0 (got ",
                      retry.jitter_frac, ")");
         }
     }

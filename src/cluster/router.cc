@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/random.hh"
+#include "sim/arrival_stream.hh"
 
 namespace equinox
 {
@@ -19,33 +19,13 @@ generateCandidateTicks(double rate_per_cycle, std::uint64_t seed,
     if (rate_per_cycle <= 0.0)
         return ticks;
 
-    // Replay of RequestDispatcher's service-0 arrival recipe: same
-    // seeding, same draw, same Tick(wait) + 1 increment. Any change
-    // there must land here too or the 1-replica differential test
-    // breaks.
-    Rng rng(seed * 7919 + 1);
-    if (surges.empty()) {
-        Tick t = 0;
-        while (true) {
-            double wait = rng.exponential(rate_per_cycle);
-            t += static_cast<Tick>(wait) + 1;
-            ticks.push_back(t);
-            // Include the first candidate beyond the horizon: the
-            // replica event loop dispatches one event past max_ticks,
-            // so the trace must cover it for byte-identity with a
-            // stochastic run.
-            if (t > max_ticks)
-                break;
-        }
-        return ticks;
-    }
-
-    // Flash-crowd path: draw at the peak rate and thin each candidate
+    // Flash crowds: draw at the peak rate and thin each candidate
     // against the instantaneous rate (Lewis-Shedler thinning), so the
     // accepted stream runs `factor` times denser inside each surge
-    // window and at the base rate outside. One seeded stream drives
-    // both the waits and the acceptance draws, keeping the whole
-    // stream a pure function of (rate, seed, surges).
+    // window and at the base rate outside. The acceptance draws come
+    // from the stream's own Rng, and only when surges exist, so the
+    // stream is a pure function of (rate, seed, surges) and without
+    // surges it is exactly service 0's accelerator stream.
     double peak_factor = 1.0;
     for (const auto &s : surges) {
         EQX_ASSERT(s.factor >= 1.0, "surge factor must be >= 1");
@@ -59,17 +39,18 @@ generateCandidateTicks(double rate_per_cycle, std::uint64_t seed,
         }
         return factor;
     };
-    Tick t = 0;
+    sim::ArrivalStream stream(seed, 0, rate_per_cycle * peak_factor);
     while (true) {
-        double wait = rng.exponential(rate_per_cycle * peak_factor);
-        t += static_cast<Tick>(wait) + 1;
+        Tick t = stream.next();
         if (t > max_ticks) {
-            // The one-past-the-horizon candidate is always accepted so
-            // every trace covers the final dispatched event.
+            // Include the first candidate beyond the horizon, always
+            // accepted: the replica event loop dispatches one event
+            // past max_ticks, so every trace must cover it.
             ticks.push_back(t);
             break;
         }
-        if (rng.uniform() * peak_factor < factor_at(t))
+        if (surges.empty() ||
+            stream.uniform() * peak_factor < factor_at(t))
             ticks.push_back(t);
     }
     return ticks;

@@ -3,12 +3,11 @@
  * The cluster front-end: generates the global inference arrival stream
  * and splits it into one candidate tick trace per replica.
  *
- * The arrival generator replays the single-accelerator recipe exactly
- * -- Rng(seed * 7919 + 1), exponential inter-arrival draws at the
- * aggregate candidate rate, `Tick(wait) + 1` increments -- so a
- * 1-replica cluster hands its only replica the very tick sequence a
- * stochastic single-accelerator run would have drawn, and the replica
- * run is byte-identical to it (tests/test_cluster_differential.cc).
+ * The global stream is sim::ArrivalStream's stream 0, the one an
+ * accelerator's service 0 draws, so a 1-replica cluster hands its only
+ * replica the very ticks a stochastic single-accelerator run would
+ * have drawn, and the replica run is byte-identical to it
+ * (tests/test_cluster_differential.cc).
  *
  * Routing decisions are causal: they read only the router's own
  * ReplicaEstimator state, never the replica simulations, so the
@@ -51,15 +50,12 @@ struct RouterSurge
 };
 
 /**
- * Draw the global candidate tick stream for one run. With no surge
- * windows this replays RequestDispatcher's service-0 arrival recipe
- * exactly -- Rng(seed * 7919 + 1), exponential draws at
- * @p rate_per_cycle, `Tick(wait) + 1` increments, one candidate past
- * @p max_ticks -- so trace-fed replicas stay byte-identical to their
- * stochastic twins. With surge windows the stream is drawn at the peak
- * rate (base x max factor) and thinned against the instantaneous rate,
- * so candidates inside a window arrive factor-times denser; this path
- * only runs under chaos, where no golden digest applies.
+ * Draw the global candidate tick stream for one run: stream 0 of
+ * @p seed (sim::ArrivalStream) at @p rate_per_cycle, up to and
+ * including the first candidate past @p max_ticks. With surge windows
+ * the stream is drawn at the peak rate (base x max factor) and thinned
+ * against the instantaneous rate with uniforms from the same stream,
+ * so candidates inside a window arrive factor-times denser.
  */
 std::vector<Tick> generateCandidateTicks(
     double rate_per_cycle, std::uint64_t seed, Tick max_ticks,
@@ -205,7 +201,7 @@ class Router
      * Draw the global candidate stream and route every candidate.
      * @param rate_per_cycle aggregate candidate rate in arrivals per
      *        cycle (bursty peak rate included); <= 0 yields no traffic
-     * @param seed the RunSpec seed the stream replays
+     * @param seed the RunSpec seed (selects the ArrivalStream)
      * @param max_ticks run horizon; generation stops at the first
      *        candidate beyond it (which is still routed -- the event
      *        loop dispatches one event past the horizon)

@@ -49,34 +49,33 @@ ChaosPlan::validate() const
         (oss << ... << parts);
         errors.push_back(oss.str());
     };
+    // Bounds are written so that NaN fails them.
+    auto atLeast0 = [&complain](const char *field, double v) {
+        if (!(v >= 0.0))
+            complain("chaos ", field, " must be >= 0 (got ", v, ")");
+    };
 
-    if (crash.rate_per_replica_s < 0.0) {
+    if (!(crash.rate_per_replica_s >= 0.0)) {
         complain("chaos crash.rate_per_replica_s must be >= 0 (got ",
                  crash.rate_per_replica_s,
                  "); it is crash events per replica-second");
     }
-    if (crash.rate_per_replica_s > 0.0 && crash.mttr_s <= 0.0) {
+    if (crash.rate_per_replica_s > 0.0 && !(crash.mttr_s > 0.0)) {
         complain("chaos crash.mttr_s must be positive when churn is "
                  "enabled (got ", crash.mttr_s,
                  "); a zero repair time makes crashes invisible");
     }
-    if (rack.rate_per_s < 0.0) {
-        complain("chaos rack.rate_per_s must be >= 0 (got ",
-                 rack.rate_per_s, ")");
-    }
+    atLeast0("rack.rate_per_s", rack.rate_per_s);
     if (rack.rate_per_s > 0.0 && rack.rack_size == 0) {
         complain("chaos rack.rack_size must be >= 1 when rack outages "
                  "are enabled; 0 racks cannot fail");
     }
-    if (rack.rate_per_s > 0.0 && rack.outage_s <= 0.0) {
+    if (rack.rate_per_s > 0.0 && !(rack.outage_s > 0.0)) {
         complain("chaos rack.outage_s must be positive when rack "
                  "outages are enabled (got ", rack.outage_s, ")");
     }
-    if (storm.rate_per_s < 0.0) {
-        complain("chaos storm.rate_per_s must be >= 0 (got ",
-                 storm.rate_per_s, ")");
-    }
-    if (storm.rate_per_s > 0.0 && storm.duration_s <= 0.0) {
+    atLeast0("storm.rate_per_s", storm.rate_per_s);
+    if (storm.rate_per_s > 0.0 && !(storm.duration_s > 0.0)) {
         complain("chaos storm.duration_s must be positive when latency "
                  "storms are enabled (got ", storm.duration_s, ")");
     }
@@ -84,21 +83,18 @@ ChaosPlan::validate() const
         complain("chaos storm.hangs_per_storm must be >= 1 when latency "
                  "storms are enabled, else a storm injects nothing");
     }
-    if (crowd.rate_per_s < 0.0) {
-        complain("chaos crowd.rate_per_s must be >= 0 (got ",
-                 crowd.rate_per_s, ")");
-    }
-    if (crowd.rate_per_s > 0.0 && crowd.duration_s <= 0.0) {
+    atLeast0("crowd.rate_per_s", crowd.rate_per_s);
+    if (crowd.rate_per_s > 0.0 && !(crowd.duration_s > 0.0)) {
         complain("chaos crowd.duration_s must be positive when flash "
                  "crowds are enabled (got ", crowd.duration_s, ")");
     }
-    if (crowd.rate_per_s > 0.0 && crowd.factor <= 1.0) {
+    if (crowd.rate_per_s > 0.0 && !(crowd.factor > 1.0)) {
         complain("chaos crowd.factor must be > 1 (got ", crowd.factor,
                  "); a surge that does not raise the rate is not a "
                  "surge");
     }
     for (const auto &o : scheduled_outages) {
-        if (o.from_s < 0.0 || o.to_s <= o.from_s) {
+        if (!(o.from_s >= 0.0 && o.to_s > o.from_s)) {
             complain("chaos scheduled outage of replica ",
                      o.replica == kEveryReplica
                          ? std::string("<all>")
@@ -108,11 +104,11 @@ ChaosPlan::validate() const
         }
     }
     for (const auto &s : scheduled_surges) {
-        if (s.from_s < 0.0 || s.to_s <= s.from_s) {
+        if (!(s.from_s >= 0.0 && s.to_s > s.from_s)) {
             complain("chaos scheduled surge needs 0 <= from_s < to_s "
                      "(got [", s.from_s, ", ", s.to_s, "))");
         }
-        if (s.factor <= 1.0) {
+        if (!(s.factor > 1.0)) {
             complain("chaos scheduled surge factor must be > 1 (got ",
                      s.factor, ")");
         }

@@ -37,16 +37,25 @@ FaultPlan::validate() const
         (oss << ... << parts);
         errors.push_back(oss.str());
     };
+    // Bounds are written so that NaN fails them.
+    auto atLeast0 = [&complain](const char *field, double v) {
+        if (!(v >= 0.0))
+            complain(field, " must be >= 0 (got ", v, ")");
+    };
+    auto positive = [&complain](const char *field, double v) {
+        if (!(v > 0.0))
+            complain(field, " must be positive (got ", v, ")");
+    };
 
-    if (dram_bit_error_rate < 0.0) {
+    if (!(dram_bit_error_rate >= 0.0)) {
         complain("dram_bit_error_rate must be >= 0 (got ",
                  dram_bit_error_rate, "); it is flips per bit moved");
     }
-    if (host_drop_prob < 0.0 || host_drop_prob >= 1.0) {
+    if (!(host_drop_prob >= 0.0 && host_drop_prob < 1.0)) {
         complain("host_drop_prob must be in [0, 1) (got ", host_drop_prob,
                  "); 1.0 would make every transfer fail forever");
     }
-    if (host_corrupt_prob < 0.0 || host_corrupt_prob >= 1.0) {
+    if (!(host_corrupt_prob >= 0.0 && host_corrupt_prob < 1.0)) {
         complain("host_corrupt_prob must be in [0, 1) (got ",
                  host_corrupt_prob, ")");
     }
@@ -55,41 +64,33 @@ FaultPlan::validate() const
                  "(got ", host_drop_prob + host_corrupt_prob,
                  ") or retries can never succeed");
     }
-    if (mmu_hang_rate_per_s < 0.0) {
-        complain("mmu_hang_rate_per_s must be >= 0 (got ",
-                 mmu_hang_rate_per_s, ")");
-    }
+    atLeast0("mmu_hang_rate_per_s", mmu_hang_rate_per_s);
     for (const auto &sf : scheduled) {
-        if (sf.at_s < 0.0) {
+        if (!(sf.at_s >= 0.0)) {
             complain("scheduled fault '", faultKindName(sf.kind),
-                     "' has a negative time (", sf.at_s, " s)");
+                     "' needs a time >= 0 (got ", sf.at_s, " s)");
         }
     }
     if (ecc.word_bits == 0) {
         complain("ecc.word_bits must be positive; SECDED(72,64) uses 64");
     }
-    if (retry.backoff_multiplier < 1.0) {
+    if (!(retry.backoff_multiplier >= 1.0)) {
         complain("retry.backoff_multiplier must be >= 1 (got ",
                  retry.backoff_multiplier,
                  "); shrinking backoff invites livelock");
     }
-    if (retry.base_backoff_s < 0.0 || retry.jitter_frac < 0.0 ||
-        retry.deadline_s < 0.0) {
-        complain("retry backoff/jitter/deadline values must be >= 0");
-    }
-    if (watchdog.timeout_s <= 0.0 || watchdog.reset_cost_s < 0.0 ||
-        watchdog.hang_duration_s <= 0.0) {
-        complain("watchdog timeout and hang duration must be positive "
-                 "and reset cost >= 0");
-    }
+    atLeast0("retry.base_backoff_s", retry.base_backoff_s);
+    atLeast0("retry.jitter_frac", retry.jitter_frac);
+    atLeast0("retry.deadline_s", retry.deadline_s);
+    positive("watchdog.timeout_s", watchdog.timeout_s);
+    atLeast0("watchdog.reset_cost_s", watchdog.reset_cost_s);
+    positive("watchdog.hang_duration_s", watchdog.hang_duration_s);
     if (degrade.enabled && degrade.storm_faults == 0) {
         complain("degrade.storm_faults must be >= 1 when degradation is "
                  "enabled, else every run is a permanent storm");
     }
-    if (degrade.enabled && degrade.storm_window_s <= 0.0) {
-        complain("degrade.storm_window_s must be positive (got ",
-                 degrade.storm_window_s, ")");
-    }
+    if (degrade.enabled)
+        positive("degrade.storm_window_s", degrade.storm_window_s);
     return errors;
 }
 

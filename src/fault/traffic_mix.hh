@@ -1,7 +1,7 @@
 /**
  * @file
- * TrafficMix: fleet-scale arrival-rate shapes on top of the candidate
- * generator.
+ * TrafficMix: fleet-scale arrival-rate shapes on top of the router's
+ * arrival stream.
  *
  * ChaosPlan perturbs a fleet with faults; a TrafficMix shapes what the
  * fleet is asked to serve: diurnal day/night swings, scheduled flash
@@ -9,9 +9,10 @@
  * its own share of the base rate with its own modulation. Like chaos,
  * a mix is purely declarative: materializeTraffic() flattens the
  * composed rate profile into piecewise-constant SurgeWindows, which
- * the router's existing Lewis-Shedler thinning (generateCandidateTicks)
- * consumes unchanged -- candidates are drawn at the peak rate and
- * thinned against the instantaneous factor. Because the windows are
+ * the router's Lewis-Shedler thinning (generateCandidateTicks)
+ * consumes unchanged -- candidates are drawn from sim::ArrivalStream
+ * at the peak rate and thinned against the instantaneous factor with
+ * uniforms from the same stream. Because the windows are
  * non-overlapping, the router's max-over-windows semantics reduce to
  * "the factor of the window containing t"; chaos flash crowds laid on
  * top compose by max, not product, matching the existing rule.

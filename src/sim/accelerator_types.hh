@@ -85,21 +85,13 @@ struct RunSpec
     /** Bursty mode: on/off modulation period in seconds. */
     double burst_period_s = 2e-3;
     /**
-     * Explicit arrival trace for service 0 (seconds, ascending); when
-     * non-empty it replaces the stochastic arrival process entirely
-     * and the run ends when the trace drains.
-     */
-    std::vector<double> arrival_trace_s;
-    /**
      * Explicit arrival-candidate trace for service 0 in clock cycles
-     * (ascending); when non-empty it replaces service 0's stochastic
-     * inter-arrival draws but keeps everything else -- chained
-     * scheduling, bursty thinning, shedding -- so a run fed the exact
-     * candidate ticks a stochastic run would have drawn is
-     * byte-identical to it. This is the cluster router's feed: the
-     * router splits one global arrival stream into per-replica traces.
-     * Unlike arrival_trace_s (scheduled up front, thinning skipped),
-     * entries here are candidates, not admissions.
+     * (ascending). When non-empty it replaces the ticks service 0's
+     * ArrivalStream would draw and keeps everything else: chained
+     * scheduling, bursty thinning and shedding. Entries are candidates,
+     * not admissions, so a run fed the ticks a stochastic run would
+     * have drawn is byte-identical to it. The cluster router feeds each
+     * replica its share of one global stream this way.
      */
     std::vector<Tick> arrival_trace_ticks;
     /** Requests completed before measurement starts. */

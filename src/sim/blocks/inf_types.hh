@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "common/arena.hh"
-#include "common/random.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "sim/accelerator_types.hh"
+#include "sim/arrival_stream.hh"
 #include "stats/histogram.hh"
 
 namespace equinox
@@ -32,8 +32,7 @@ struct InfService
     ContextId id = 0;
     InferenceServiceDesc desc;
     Tick timeout_cycles = 0;      //!< adaptive batch-formation threshold
-    double rate_per_cycle = 0.0;  //!< Poisson arrival rate
-    Rng rng{1};
+    ArrivalStream stream;         //!< arrival candidates (peak rate)
     /**
      * Arrival ticks awaiting batching. A growable ring instead of
      * std::deque: arrival + batch-forming churn it on every request,

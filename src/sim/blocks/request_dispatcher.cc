@@ -94,25 +94,25 @@ RequestDispatcher::registerStats(stats::StatRegistry &reg)
 void
 RequestDispatcher::beginRun()
 {
-    if (!ctx.spec.arrival_trace_ticks.empty()) {
+    const auto &trace = ctx.spec.arrival_trace_ticks;
+    if (!trace.empty()) {
         EQX_ASSERT(!ctx.services.empty(),
                    "arrival trace needs an inference service");
-        EQX_ASSERT(ctx.spec.arrival_trace_s.empty(),
-                   "arrival_trace_ticks and arrival_trace_s are "
-                   "mutually exclusive");
-        Tick prev = 0;
-        for (Tick t : ctx.spec.arrival_trace_ticks) {
-            EQX_ASSERT(t >= prev, "tick trace must be ascending");
-            prev = t;
-        }
+        EQX_ASSERT(std::is_sorted(trace.begin(), trace.end()),
+                   "tick trace must be ascending");
     }
-    ctx.inference_load = false;
+    // Bursty mode samples candidates at the peak rate and thins them to
+    // the on-phase at arrival time (Lewis-Shedler thinning), giving an
+    // on/off-modulated Poisson process with the configured mean.
+    const double peak = ctx.spec.arrival_process == ArrivalProcess::Bursty
+                            ? ctx.spec.burst_factor
+                            : 1.0;
+    ctx.inference_load = !trace.empty();
     ctx.full_pending_services = 0; // every pending queue clears below
     for (std::size_t i = 0; i < ctx.services.size(); ++i) {
         auto &svc = *ctx.services[i];
         svc.pending.clear();
         svc.timeout_armed = false;
-        svc.rng = Rng(ctx.spec.seed * 7919 + svc.id + 1);
         double rate = 0.0;
         if (!ctx.spec.arrival_rates.empty()) {
             if (i < ctx.spec.arrival_rates.size())
@@ -120,62 +120,38 @@ RequestDispatcher::beginRun()
         } else if (i == 0) {
             rate = ctx.spec.arrival_rate_per_s;
         }
-        svc.rate_per_cycle = rate / ctx.cfg.frequency_hz;
+        // Streams count from tick 0, where every run's queue starts.
+        svc.stream = ArrivalStream(ctx.spec.seed, svc.id,
+                                   rate / ctx.cfg.frequency_hz * peak);
         ctx.inference_load = ctx.inference_load || rate > 0.0;
-        if (i == 0 && !ctx.spec.arrival_trace_ticks.empty())
-            ctx.inference_load = true;
         scheduleNextArrival(i);
-    }
-
-    if (!ctx.spec.arrival_trace_s.empty()) {
-        EQX_ASSERT(!ctx.services.empty(),
-                   "arrival trace needs an inference service");
-        ctx.inference_load = true;
-        double prev = -1.0;
-        for (double t : ctx.spec.arrival_trace_s) {
-            EQX_ASSERT(t >= 0.0 && t >= prev,
-                       "arrival trace must be ascending");
-            prev = t;
-            ctx.events.schedule(
-                units::secondsToCycles(t, ctx.cfg.frequency_hz),
-                [this] { onRequestArrival(0); });
-        }
     }
 }
 
 void
 RequestDispatcher::scheduleNextArrival(std::size_t svc_idx)
 {
+    // The handler for one candidate schedules the next, whether it comes
+    // from service 0's tick trace or from the service's stream. The
+    // event insertion sequence (and thus same-tick FIFO order) of a run
+    // fed the ticks a stream would have drawn therefore matches the
+    // stochastic run, and thinning and shedding apply at arrival time
+    // in both.
+    if (ctx.stopping)
+        return;
     auto &svc = *ctx.services[svc_idx];
-    if (!ctx.spec.arrival_trace_s.empty() && svc_idx == 0)
-        return; // trace playback schedules arrivals up front
-    if (!ctx.spec.arrival_trace_ticks.empty() && svc_idx == 0) {
-        // Chained tick-trace playback: the handler for one candidate
-        // schedules the next, exactly where the stochastic modes
-        // draw-and-schedule, so the event insertion sequence (and thus
-        // same-tick FIFO order) matches a stochastic run that drew the
-        // same candidate ticks. Bursty thinning and shedding still
-        // apply at arrival time, also mirroring the stochastic path.
-        if (ctx.stopping ||
-            trace_pos >= ctx.spec.arrival_trace_ticks.size())
+    const auto &trace = ctx.spec.arrival_trace_ticks;
+    Tick at = 0;
+    if (svc_idx == 0 && !trace.empty()) {
+        if (trace_pos >= trace.size())
             return;
-        ctx.events.schedule(ctx.spec.arrival_trace_ticks[trace_pos++],
-                            [this] { onRequestArrival(0); });
+        at = trace[trace_pos++];
+    } else if (svc.stream.active()) {
+        at = svc.stream.next();
+    } else {
         return;
     }
-    if (svc.rate_per_cycle <= 0.0 || ctx.stopping)
-        return;
-    // Bursty mode samples candidates at the peak rate and thins them to
-    // the on-phase at arrival time (Lewis-Shedler thinning), giving an
-    // on/off-modulated Poisson process with the configured mean.
-    double rate = svc.rate_per_cycle;
-    if (ctx.spec.arrival_process == ArrivalProcess::Bursty)
-        rate *= ctx.spec.burst_factor;
-    double wait = svc.rng.exponential(rate);
-    auto delta = static_cast<Tick>(wait) + 1;
-    ctx.events.scheduleIn(delta, [this, svc_idx] {
-        onRequestArrival(svc_idx);
-    });
+    ctx.events.schedule(at, [this, svc_idx] { onRequestArrival(svc_idx); });
 }
 
 bool
@@ -198,8 +174,7 @@ RequestDispatcher::onRequestArrival(std::size_t svc_idx)
     if (ctx.stopping)
         return;
     auto &svc = *ctx.services[svc_idx];
-    if ((ctx.spec.arrival_trace_s.empty() || svc_idx != 0) &&
-        !inBurstOnPhase()) {
+    if (!inBurstOnPhase()) {
         // Thinned candidate: no request in the off phase.
         scheduleNextArrival(svc_idx);
         return;
@@ -229,33 +204,8 @@ RequestDispatcher::formFullBatches(InfService &svc)
     const std::uint32_t batch_rows = svc.desc.program.batch_rows;
     if (svc.pending.size() >= batch_rows)
         --ctx.full_pending_services; // the loop drains below full
-    while (svc.pending.size() >= batch_rows) {
-        InfBatch *batch = ctx.batch_arena.acquire();
-        batch->resetForReuse();
-        batch->svc = &svc;
-        batch->real = batch_rows;
-        for (std::uint32_t i = 0; i < batch_rows; ++i) {
-            batch->arrivals.push_back(svc.pending.front());
-            svc.pending.pop_front();
-        }
-        // Batch inputs DMA in over the host interface before issue.
-        ByteCount in_bytes = static_cast<ByteCount>(batch->real) *
-                             svc.desc.input_bytes_per_request;
-        batch->ready_at = in_bytes
-                              ? faults->hostTransfer(ctx.events.now(),
-                                                     in_bytes,
-                                                     dram::Priority::High)
-                              : ctx.events.now();
-        if (ctx.measuring) {
-            ++batches_formed;
-            batch_fill_sum += 1.0;
-            ctx.host_bytes_measured += in_bytes;
-        }
-        emit(TraceEventType::BatchFormed, svc.id, batch->real,
-             batch_rows);
-        ctx.batch_queue.push(batch);
-        ++ctx.unstarted_batches;
-    }
+    while (svc.pending.size() >= batch_rows)
+        formBatch(svc, batch_rows);
 }
 
 void
@@ -264,18 +214,29 @@ RequestDispatcher::formPartialBatch(InfService &svc)
     EQX_ASSERT(!svc.pending.empty(), "partial batch from empty queue");
     const std::uint32_t batch_rows = svc.desc.program.batch_rows;
     const bool was_full = svc.pending.size() >= batch_rows;
+    formBatch(svc, static_cast<std::uint32_t>(
+                       std::min<std::size_t>(svc.pending.size(),
+                                             batch_rows)));
+    if (was_full && svc.pending.size() < batch_rows)
+        --ctx.full_pending_services;
+    if (ctx.measuring)
+        ++batches_incomplete;
+}
+
+void
+RequestDispatcher::formBatch(InfService &svc, std::uint32_t real)
+{
+    const std::uint32_t batch_rows = svc.desc.program.batch_rows;
     InfBatch *batch = ctx.batch_arena.acquire();
     batch->resetForReuse();
     batch->svc = &svc;
-    batch->real = static_cast<std::uint32_t>(
-        std::min<std::size_t>(svc.pending.size(), batch_rows));
-    for (std::uint32_t i = 0; i < batch->real; ++i) {
+    batch->real = real;
+    for (std::uint32_t i = 0; i < real; ++i) {
         batch->arrivals.push_back(svc.pending.front());
         svc.pending.pop_front();
     }
-    if (was_full && svc.pending.size() < batch_rows)
-        --ctx.full_pending_services;
-    ByteCount in_bytes = static_cast<ByteCount>(batch->real) *
+    // Batch inputs DMA in over the host interface before issue.
+    ByteCount in_bytes = static_cast<ByteCount>(real) *
                          svc.desc.input_bytes_per_request;
     batch->ready_at = in_bytes
                           ? faults->hostTransfer(ctx.events.now(),
@@ -284,11 +245,10 @@ RequestDispatcher::formPartialBatch(InfService &svc)
                           : ctx.events.now();
     if (ctx.measuring) {
         ++batches_formed;
-        ++batches_incomplete;
-        batch_fill_sum += static_cast<double>(batch->real) / batch_rows;
+        batch_fill_sum += static_cast<double>(real) / batch_rows;
         ctx.host_bytes_measured += in_bytes;
     }
-    emit(TraceEventType::BatchFormed, svc.id, batch->real, batch_rows);
+    emit(TraceEventType::BatchFormed, svc.id, real, batch_rows);
     ctx.batch_queue.push(batch);
     ++ctx.unstarted_batches;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * RequestDispatcher: the front-end block -- per-service request arrival
- * processes (Poisson, bursty, trace playback), the batch former with
- * static/adaptive policies and dummy padding, and the adaptive
+ * processes (Poisson, bursty, tick-trace playback), the batch former
+ * with static/adaptive policies and dummy padding, and the adaptive
  * batch-formation timeout machinery (section 3.1).
  *
  * Produces formed InfBatches into the shared BatchQueue port and pokes
@@ -42,10 +42,11 @@ class RequestDispatcher final : public SimBlock
     void registerStats(stats::StatRegistry &reg) override;
 
     /**
-     * Reset every installed service's run state (queues, RNG streams,
-     * arrival rates from the spec) and schedule the first arrivals --
-     * stochastic per service in install order, then the explicit trace.
-     * Sets ctx.inference_load. Must run before the event loop starts.
+     * Reset every installed service's run state (queues, arrival
+     * streams seeded and rated from the spec) and schedule each
+     * service's first candidate in install order -- service 0's from
+     * the tick trace when one is given. Sets ctx.inference_load. Must
+     * run before the event loop starts.
      */
     void beginRun();
 
@@ -66,6 +67,11 @@ class RequestDispatcher final : public SimBlock
     bool inBurstOnPhase() const;
     void formFullBatches(InfService &svc);
     void formPartialBatch(InfService &svc);
+    /**
+     * Batch the @p real oldest pending requests (the rest of the rows
+     * are padding), start their input DMA, tally and queue the batch.
+     */
+    void formBatch(InfService &svc, std::uint32_t real);
     void armBatchTimeout(InfService &svc);
     void onBatchTimeout(InfService *svc);
 

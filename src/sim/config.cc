@@ -60,7 +60,7 @@ AcceleratorConfig::validate() const
             " w=", w, "); the paper's design points use n in [64, 256], "
             "m in [1, 8], w in [1, 8]");
     }
-    if (frequency_hz <= 0.0) {
+    if (!(frequency_hz > 0.0)) {
         bad("frequency_hz", "clock must be positive (got ", frequency_hz,
             "); e.g. units::MHz(610) for the Equinox_500us design");
     }
@@ -78,12 +78,12 @@ AcceleratorConfig::validate() const
         bad("simd_lanes", "the SIMD unit needs at least one lane; every "
             "step's epilogue (activations, recurrences) runs there");
     }
-    if (train_staging_frac < 0.0 || train_staging_frac >= 1.0) {
+    if (!(train_staging_frac >= 0.0 && train_staging_frac < 1.0)) {
         bad("train_staging_frac", "training staging share must be in "
             "[0, 1) of the activation+weight buffers (got ",
             train_staging_frac, "); the paper carves out <2% (0.02)");
     }
-    if (batch_timeout_mult <= 0.0 &&
+    if (!(batch_timeout_mult > 0.0) &&
         batch_policy == BatchPolicy::Adaptive) {
         bad("batch_timeout_mult", "adaptive batching needs a positive "
             "timeout multiple of the service time (got ",
@@ -97,23 +97,23 @@ AcceleratorConfig::validate() const
             "freeze training permanently -- use SchedPolicy::"
             "InferenceOnly if that is the intent");
     }
-    if (software_turnaround_s < 0.0) {
+    if (!(software_turnaround_s >= 0.0)) {
         bad("software_turnaround_s", "software-scheduler turnaround "
             "cannot be negative (got ", software_turnaround_s, ")");
     }
-    if (dram.bandwidth_bytes_per_s <= 0.0) {
+    if (!(dram.bandwidth_bytes_per_s > 0.0)) {
         bad("dram.bandwidth_bytes_per_s", "DRAM bandwidth must be "
             "positive (got ", dram.bandwidth_bytes_per_s,
             "); e.g. 1e12 for an HBM2 stack");
     }
-    if (host.bandwidth_bytes_per_s <= 0.0) {
+    if (!(host.bandwidth_bytes_per_s > 0.0)) {
         bad("host.bandwidth_bytes_per_s", "host-link bandwidth must be "
             "positive (got ", host.bandwidth_bytes_per_s,
             "); e.g. 32e9 for PCIe gen4 x16");
     }
-    if (dram.latency_s < 0.0 || host.latency_s < 0.0) {
+    if (!(dram.latency_s >= 0.0 && host.latency_s >= 0.0)) {
         bad("dram.latency_s/host.latency_s",
-            "interface latencies cannot be negative");
+            "interface latencies must be >= 0");
     }
     for (const auto &me : mem.validate())
         errors.push_back({"mem." + me.field, me.message});

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -245,6 +247,58 @@ TEST(FaultPlan, ValidateCatchesBadKnobs)
     EXPECT_GE(errors.size(), 3u);
 }
 
+TEST(FaultPlan, RejectsNanInEveryBound)
+{
+    // Every bound is written so that NaN fails it; a NaN rate or time
+    // would otherwise reach a seconds-to-cycles cast or draw nothing.
+    struct Knob
+    {
+        const char *field; //!< substring the error must contain
+        void (*set)(fault::FaultPlan &, double);
+    };
+    using Plan = fault::FaultPlan;
+    const Knob knobs[] = {
+        {"dram_bit_error_rate",
+         [](Plan &p, double v) { p.dram_bit_error_rate = v; }},
+        {"host_drop_prob", [](Plan &p, double v) { p.host_drop_prob = v; }},
+        {"host_corrupt_prob",
+         [](Plan &p, double v) { p.host_corrupt_prob = v; }},
+        {"mmu_hang_rate_per_s",
+         [](Plan &p, double v) { p.mmu_hang_rate_per_s = v; }},
+        {"mmu-hang",
+         [](Plan &p, double v) {
+             p.scheduled.push_back({v, fault::FaultKind::MmuHang});
+         }},
+        {"retry.backoff_multiplier",
+         [](Plan &p, double v) { p.retry.backoff_multiplier = v; }},
+        {"retry.base_backoff_s",
+         [](Plan &p, double v) { p.retry.base_backoff_s = v; }},
+        {"retry.jitter_frac",
+         [](Plan &p, double v) { p.retry.jitter_frac = v; }},
+        {"retry.deadline_s",
+         [](Plan &p, double v) { p.retry.deadline_s = v; }},
+        {"watchdog.timeout_s",
+         [](Plan &p, double v) { p.watchdog.timeout_s = v; }},
+        {"watchdog.reset_cost_s",
+         [](Plan &p, double v) { p.watchdog.reset_cost_s = v; }},
+        {"watchdog.hang_duration_s",
+         [](Plan &p, double v) { p.watchdog.hang_duration_s = v; }},
+        {"degrade.storm_window_s",
+         [](Plan &p, double v) { p.degrade.storm_window_s = v; }},
+    };
+    for (const auto &k : knobs) {
+        Plan bad;
+        k.set(bad, std::numeric_limits<double>::quiet_NaN());
+        auto errors = bad.validate();
+        EXPECT_TRUE(std::any_of(errors.begin(), errors.end(),
+                                [&k](const std::string &e) {
+                                    return e.find(k.field) !=
+                                           std::string::npos;
+                                }))
+            << k.field;
+    }
+}
+
 TEST(FaultPlan, KindNamesAreStable)
 {
     using fault::FaultKind;
@@ -446,6 +500,47 @@ TEST(AcceleratorConfig, ValidateNamesTheOffendingField)
     auto report = sim::formatConfigErrors(errors);
     EXPECT_NE(report.find("frequency_hz"), std::string::npos);
     EXPECT_NE(report.find("train_staging_frac"), std::string::npos);
+}
+
+TEST(AcceleratorConfig, RejectsNanInEveryBound)
+{
+    // NaN fails every bound instead of slipping past `x < 0`: a NaN
+    // clock or bandwidth would otherwise reach cycle conversions.
+    struct Knob
+    {
+        const char *field; //!< substring the error's field must contain
+        void (*set)(sim::AcceleratorConfig &, double);
+    };
+    using Cfg = sim::AcceleratorConfig;
+    const Knob knobs[] = {
+        {"frequency_hz", [](Cfg &c, double v) { c.frequency_hz = v; }},
+        {"train_staging_frac",
+         [](Cfg &c, double v) { c.train_staging_frac = v; }},
+        {"batch_timeout_mult",
+         [](Cfg &c, double v) {
+             c.batch_policy = sim::BatchPolicy::Adaptive;
+             c.batch_timeout_mult = v;
+         }},
+        {"software_turnaround_s",
+         [](Cfg &c, double v) { c.software_turnaround_s = v; }},
+        {"dram.bandwidth_bytes_per_s",
+         [](Cfg &c, double v) { c.dram.bandwidth_bytes_per_s = v; }},
+        {"host.bandwidth_bytes_per_s",
+         [](Cfg &c, double v) { c.host.bandwidth_bytes_per_s = v; }},
+        {"dram.latency_s", [](Cfg &c, double v) { c.dram.latency_s = v; }},
+        {"host.latency_s", [](Cfg &c, double v) { c.host.latency_s = v; }},
+    };
+    for (const auto &k : knobs) {
+        auto bad = smallConfig();
+        k.set(bad, std::numeric_limits<double>::quiet_NaN());
+        auto errors = bad.validate();
+        EXPECT_TRUE(std::any_of(errors.begin(), errors.end(),
+                                [&k](const sim::ConfigError &e) {
+                                    return e.field.find(k.field) !=
+                                           std::string::npos;
+                                }))
+            << k.field;
+    }
 }
 
 TEST(AcceleratorConfigDeath, ConstructionFailsFastOnBadConfig)

@@ -117,6 +117,77 @@ TEST(ChaosPlanValidate, RejectsBackwardsWindows)
     EXPECT_TRUE(anyErrorContains(errors, "scheduled surge"));
 }
 
+TEST(ChaosPlanValidate, RejectsNanInEveryBound)
+{
+    // Every bound is written so that NaN fails it; a NaN rate or window
+    // would otherwise validate and then materialize nothing.
+    struct Knob
+    {
+        const char *field; //!< substring the error must contain
+        void (*set)(fault::ChaosPlan &, double);
+    };
+    using Plan = fault::ChaosPlan;
+    const Knob knobs[] = {
+        {"crash.rate_per_replica_s",
+         [](Plan &p, double v) { p.crash.rate_per_replica_s = v; }},
+        {"crash.mttr_s",
+         [](Plan &p, double v) {
+             p.crash.rate_per_replica_s = 1.0;
+             p.crash.mttr_s = v;
+         }},
+        {"rack.rate_per_s", [](Plan &p, double v) { p.rack.rate_per_s = v; }},
+        {"rack.outage_s",
+         [](Plan &p, double v) {
+             p.rack.rate_per_s = 1.0;
+             p.rack.outage_s = v;
+         }},
+        {"storm.rate_per_s",
+         [](Plan &p, double v) { p.storm.rate_per_s = v; }},
+        {"storm.duration_s",
+         [](Plan &p, double v) {
+             p.storm.rate_per_s = 1.0;
+             p.storm.duration_s = v;
+         }},
+        {"crowd.rate_per_s",
+         [](Plan &p, double v) { p.crowd.rate_per_s = v; }},
+        {"crowd.duration_s",
+         [](Plan &p, double v) {
+             p.crowd.rate_per_s = 1.0;
+             p.crowd.duration_s = v;
+         }},
+        {"crowd.factor",
+         [](Plan &p, double v) {
+             p.crowd.rate_per_s = 1.0;
+             p.crowd.factor = v;
+         }},
+        {"scheduled outage",
+         [](Plan &p, double v) {
+             p.scheduled_outages.push_back({0, v, 1.0});
+         }},
+        {"scheduled outage",
+         [](Plan &p, double v) {
+             p.scheduled_outages.push_back({0, 0.1, v});
+         }},
+        {"scheduled surge",
+         [](Plan &p, double v) {
+             p.scheduled_surges.push_back({v, 1.0, 2.0});
+         }},
+        {"scheduled surge",
+         [](Plan &p, double v) {
+             p.scheduled_surges.push_back({0.1, v, 2.0});
+         }},
+        {"surge factor",
+         [](Plan &p, double v) {
+             p.scheduled_surges.push_back({0.1, 0.2, v});
+         }},
+    };
+    for (const auto &k : knobs) {
+        Plan bad;
+        k.set(bad, std::numeric_limits<double>::quiet_NaN());
+        EXPECT_TRUE(anyErrorContains(bad.validate(), k.field)) << k.field;
+    }
+}
+
 // ---------------------------------------------------------------------
 // ResilienceSpec validation: the satellite-mandated rejections.
 
@@ -125,6 +196,23 @@ TEST(ResilienceSpecValidate, DefaultSpecIsValidAndDisabled)
     cluster::ResilienceSpec spec;
     EXPECT_FALSE(spec.enabled());
     EXPECT_TRUE(spec.validate().empty());
+}
+
+TEST(ResilienceSpecValidate, RejectsInfiniteRetryScaling)
+{
+    // Both knobs scale the retry backoff that ControlPlane::route casts
+    // to Tick; +inf must be rejected before it reaches that cast.
+    const double inf = std::numeric_limits<double>::infinity();
+    cluster::ResilienceSpec multiplier;
+    multiplier.retry.enabled = true;
+    multiplier.retry.backoff_multiplier = inf;
+    EXPECT_TRUE(anyErrorContains(multiplier.validate(),
+                                 "retry.backoff_multiplier"));
+
+    cluster::ResilienceSpec jitter;
+    jitter.retry.enabled = true;
+    jitter.retry.jitter_frac = inf;
+    EXPECT_TRUE(anyErrorContains(jitter.validate(), "retry.jitter_frac"));
 }
 
 TEST(ResilienceSpecValidate, RejectsZeroRetryBudgetWithRetriesEnabled)
