@@ -109,7 +109,7 @@ main(int argc, char **argv)
     const std::size_t reps = 3;
 
     // Warm-up sweeps: first-touch page faults, DSE cache fill, and
-    // arena growth happen off the clock (and symmetrically for both
+    // allocator growth happen off the clock (and symmetrically for both
     // timed sweeps).
     (void)runSweep(cfg, inf_compiled, true, false, 1, harness.jobs());
     (void)runSweep(cfg, mix_compiled, true, true, 1, harness.jobs());

@@ -42,6 +42,11 @@
 #                                # at --seed 1, one short run each), for
 #                                # diffing a behaviour-preserving change
 #                                # against its parent commit
+#   scripts/check.sh --digests REV # the same for the working tree and
+#                                # for REV (extracted with git archive
+#                                # under build/), then diff the two sets
+#                                # of digest lines; fails on any
+#                                # difference
 #
 # The "resilience" ctest label is a subset of tier1, so the default run
 # (and the asan/tsan presets, via the tier1/parallel labels) already
@@ -128,6 +133,33 @@ print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]
     done
 }
 
+compare_digests() {
+    # Extract REV once into the gitignored build/ tree (keyed by its
+    # commit sha) and run that tree's own perfbench with the same
+    # arguments, so the two digest sets come from the two sources.
+    local sha dir base head
+    sha=$(git rev-parse --verify "$1^{commit}")
+    dir="build/digests-$sha"
+    if [ ! -d "$dir" ]; then
+        mkdir -p build
+        rm -rf "$dir.tmp"
+        mkdir "$dir.tmp"
+        git archive "$sha" | tar -x -C "$dir.tmp"
+        mv "$dir.tmp" "$dir"
+    fi
+    echo "check.sh: digests of $1 ($sha)"
+    base=$(cd "$dir" && run_digests)
+    echo "$base"
+    echo "check.sh: digests of the working tree"
+    head=$(run_digests)
+    echo "$head"
+    if ! diff <(echo "$base") <(echo "$head"); then
+        echo "check.sh: digests differ from $1"
+        return 1
+    fi
+    echo "check.sh: digests identical to $1"
+}
+
 case "${1:-}" in
   --format)
     run_format_check
@@ -162,7 +194,11 @@ case "${1:-}" in
     run_bench_smoke
     ;;
   --digests)
-    run_digests
+    if [ -n "${2:-}" ]; then
+        compare_digests "$2"
+    else
+        run_digests
+    fi
     ;;
   "")
     run_format_check
@@ -170,7 +206,7 @@ case "${1:-}" in
     ;;
   *)
     echo "usage: scripts/check.sh" \
-         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--digests|--format]" >&2
+         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--digests [REV]|--format]" >&2
     exit 2
     ;;
 esac

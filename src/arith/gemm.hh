@@ -100,7 +100,6 @@ class HbfpGemm : public GemmEngine
     Encoding encoding() const override { return Encoding::Hbfp8; }
 
     const BfpFormat &format() const { return fmt; }
-    std::size_t blockLength() const { return block_len_; }
 
   private:
     BfpFormat fmt;

@@ -9,20 +9,6 @@ namespace equinox
 namespace cluster
 {
 
-const char *
-breakerStateName(CircuitBreaker::State state)
-{
-    switch (state) {
-    case CircuitBreaker::State::Closed:
-        return "closed";
-    case CircuitBreaker::State::Open:
-        return "open";
-    case CircuitBreaker::State::HalfOpen:
-        return "half_open";
-    }
-    return "unknown";
-}
-
 std::vector<std::string>
 BreakerConfig::validate() const
 {

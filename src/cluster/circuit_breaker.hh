@@ -108,9 +108,6 @@ class CircuitBreaker
     std::uint64_t closes_ = 0;
 };
 
-/** Stable name ("closed", "open", "half_open") for labels and JSON. */
-const char *breakerStateName(CircuitBreaker::State state);
-
 } // namespace cluster
 } // namespace equinox
 

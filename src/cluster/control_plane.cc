@@ -277,9 +277,14 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                                  static_cast<double>(ev.attempt));
                     backoff *= 1.0 + spec_.retry.jitter_frac *
                                          jitter_rng.uniform();
-                    Tick delay = std::max<Tick>(
-                        1, static_cast<Tick>(backoff));
-                    retries.push({t + delay, retry_seq++,
+                    // A backoff past 64 bits saturates at "never"
+                    // rather than hitting an undefined cast or
+                    // wrapping to before its own candidate.
+                    Tick delay = backoff < 0x1p64
+                                     ? std::max<Tick>(
+                                           1, static_cast<Tick>(backoff))
+                                     : kTickMax;
+                    retries.push({saturatingAdd(t, delay), retry_seq++,
                                   ev.attempt + 1, ev.background});
                     continue;
                 }

@@ -22,6 +22,13 @@ using Tick = std::uint64_t;
 /** Sentinel for "never" / "not yet scheduled". */
 constexpr Tick kTickMax = std::numeric_limits<Tick>::max();
 
+/** @p a + @p b, saturated at kTickMax ("never") instead of wrapping. */
+constexpr Tick
+saturatingAdd(Tick a, Tick b)
+{
+    return b > kTickMax - a ? kTickMax : a + b;
+}
+
 /** Identifier of an installed service (hardware context). */
 using ContextId = std::uint32_t;
 

@@ -11,6 +11,7 @@
 #define EQUINOX_COMMON_UNITS_HH
 
 #include <cstdint>
+#include <limits>
 
 namespace equinox
 {
@@ -47,16 +48,21 @@ constexpr double ns(double v) { return v * kNano; }
 
 /** Energy helpers. */
 constexpr double pJ(double v) { return v * kPico; }
-constexpr double nJ(double v) { return v * kNano; }
 
 /** Throughput helpers. */
 constexpr double TOps(double v) { return v * kTera; }
 
-/** Convert seconds to cycles at frequency_hz (rounded up). */
+/**
+ * Convert seconds to cycles at frequency_hz (rounded up). A count that
+ * does not fit in 64 bits (including +inf and NaN) saturates at the
+ * largest value instead of hitting an undefined cast.
+ */
 constexpr std::uint64_t
 secondsToCycles(double seconds, double frequency_hz)
 {
     double cycles = seconds * frequency_hz;
+    if (!(cycles < 0x1p64))
+        return std::numeric_limits<std::uint64_t>::max();
     auto whole = static_cast<std::uint64_t>(cycles);
     return (static_cast<double>(whole) < cycles) ? whole + 1 : whole;
 }

@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hh"
 
+#include <cmath>
 #include <sstream>
 
 namespace equinox
@@ -37,18 +38,22 @@ FaultPlan::validate() const
         (oss << ... << parts);
         errors.push_back(oss.str());
     };
-    // Bounds are written so that NaN fails them.
+    // Bounds are written so that NaN fails them. Every knob below is
+    // a rate or is converted to cycles, so it must also be finite: an
+    // infinite hang rate makes every exponential wait zero, and an
+    // infinite time has no cycle count.
     auto atLeast0 = [&complain](const char *field, double v) {
-        if (!(v >= 0.0))
-            complain(field, " must be >= 0 (got ", v, ")");
+        if (!(v >= 0.0 && std::isfinite(v)))
+            complain(field, " must be finite and >= 0 (got ", v, ")");
     };
     auto positive = [&complain](const char *field, double v) {
-        if (!(v > 0.0))
-            complain(field, " must be positive (got ", v, ")");
+        if (!(v > 0.0 && std::isfinite(v)))
+            complain(field, " must be finite and positive (got ", v, ")");
     };
 
-    if (!(dram_bit_error_rate >= 0.0)) {
-        complain("dram_bit_error_rate must be >= 0 (got ",
+    if (!(dram_bit_error_rate >= 0.0 &&
+          std::isfinite(dram_bit_error_rate))) {
+        complain("dram_bit_error_rate must be finite and >= 0 (got ",
                  dram_bit_error_rate, "); it is flips per bit moved");
     }
     if (!(host_drop_prob >= 0.0 && host_drop_prob < 1.0)) {
@@ -66,16 +71,17 @@ FaultPlan::validate() const
     }
     atLeast0("mmu_hang_rate_per_s", mmu_hang_rate_per_s);
     for (const auto &sf : scheduled) {
-        if (!(sf.at_s >= 0.0)) {
+        if (!(sf.at_s >= 0.0 && std::isfinite(sf.at_s))) {
             complain("scheduled fault '", faultKindName(sf.kind),
-                     "' needs a time >= 0 (got ", sf.at_s, " s)");
+                     "' needs a finite time >= 0 (got ", sf.at_s, " s)");
         }
     }
     if (ecc.word_bits == 0) {
         complain("ecc.word_bits must be positive; SECDED(72,64) uses 64");
     }
-    if (!(retry.backoff_multiplier >= 1.0)) {
-        complain("retry.backoff_multiplier must be >= 1 (got ",
+    if (!(retry.backoff_multiplier >= 1.0 &&
+          std::isfinite(retry.backoff_multiplier))) {
+        complain("retry.backoff_multiplier must be finite and >= 1 (got ",
                  retry.backoff_multiplier,
                  "); shrinking backoff invites livelock");
     }

@@ -22,22 +22,6 @@ namespace sim
 namespace
 {
 
-/**
- * EQX_FASTFORWARD=0 vetoes inline fast-forward process-wide (the
- * escape hatch for bisecting a suspected FF divergence without a
- * rebuild). Read once: flipping the variable mid-process would make
- * back-to-back runs incomparable.
- */
-bool
-fastForwardEnvEnabled()
-{
-    static const bool enabled = [] {
-        const char *v = std::getenv("EQX_FASTFORWARD");
-        return !(v && std::string_view(v) == "0");
-    }();
-    return enabled;
-}
-
 bool
 checkExactEnvDefault()
 {
@@ -109,33 +93,6 @@ Accelerator::registerStats(stats::StatRegistry &reg)
 {
     for (auto *b : ctx.blocks)
         b->registerStats(reg);
-    // Batch-arena gauges are per-accelerator (deterministic for a given
-    // run sequence).
-    reg.registerStat("arena.batch_objects",
-                     [this] {
-                         return static_cast<double>(
-                             ctx.batch_arena.totalObjects());
-                     },
-                     "InfBatch objects ever constructed (pool lifetime)");
-    reg.registerStat("arena.batch_acquires",
-                     [this] {
-                         return static_cast<double>(
-                             ctx.batch_arena.acquires());
-                     },
-                     "batch-arena acquires (pool lifetime)");
-    reg.registerStat("arena.batch_reuses",
-                     [this] {
-                         return static_cast<double>(
-                             ctx.batch_arena.reuses());
-                     },
-                     "acquires served from the freelist (pool lifetime)");
-    reg.registerStat("arena.batch_high_water",
-                     [this] {
-                         return static_cast<double>(
-                             ctx.batch_arena.highWater());
-                     },
-                     "most batches simultaneously live (pool lifetime)");
-
     // Memory-hierarchy gauges exist only for non-trivial hierarchies:
     // the passthrough configuration registers nothing, so the
     // MetricsSnapshot schema (and every digest/identity test built on
@@ -289,7 +246,7 @@ Accelerator::maxRequestRate(ContextId id) const
 SimResult
 Accelerator::run(const RunSpec &run_spec)
 {
-    const bool ff = run_spec.fast_forward && fastForwardEnvEnabled();
+    const bool ff = run_spec.fast_forward;
     if (!ff || !checkExactMode())
         return runOnce(run_spec, ff, /*count_global=*/true);
 

@@ -5,8 +5,8 @@
  *
  * The cycle-accurate machinery lives in the blocks under sim/blocks/:
  * the RequestDispatcher (arrivals + batch formation), the
- * InstructionDispatcher (the Figure 5 scheduler with its pluggable
- * SchedulingPolicy), the Datapath (MMU/SIMD timing and the Figure 8
+ * InstructionDispatcher (the Figure 5 scheduler and its SchedPolicy
+ * regimes), the Datapath (MMU/SIMD timing and the Figure 8
  * accounting), the TrainPrefetcher (operand staging), and the FaultUnit
  * (injection + recovery). This class owns the SimContext they share,
  * wires their ports, drives the run loop, and assembles the SimResult.
@@ -78,8 +78,7 @@ class Accelerator
 
     /**
      * Run one experiment; resets all dynamic state first. With
-     * spec.fast_forward (the default, unless EQX_FASTFORWARD=0 vetoes
-     * it) the event kernel dispatches analytically-next events inline
+     * spec.fast_forward (the default) the event kernel dispatches analytically-next events inline
      * -- byte-identical results, fewer heap round-trips. Under
      * check-exact mode (see setCheckExactMode) the run is co-simulated
      * cycle-accurately first and any digest divergence is fatal.

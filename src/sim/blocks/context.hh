@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 #include "dram/hbm.hh"
 #include "dram/host_link.hh"
@@ -91,17 +90,11 @@ struct SimContext
     // -- installed services (shared across blocks) ----------------------
     std::vector<std::unique_ptr<InfService>> services;
     std::unique_ptr<TrainState> train;
-    /** Typed port: batch former -> instruction dispatcher/datapath. */
-    BatchQueue batch_queue;
     /**
-     * Storage behind every InfBatch in flight: the request dispatcher
-     * acquires at batch formation, the datapath releases at retire,
-     * and RequestDispatcher::resetRun() resets the arena (returning
-     * any batches the horizon cut off mid-flight). Owned here so the
-     * pool -- and the capacity its batches grew -- survives across
-     * back-to-back runs on the same accelerator.
+     * Typed port: batch former -> instruction dispatcher/datapath; owns
+     * every batch in flight.
      */
-    common::ObjectPool<InfBatch> batch_arena;
+    BatchQueue batch_queue;
 
     Tick now() const { return events.now(); }
 

@@ -236,17 +236,14 @@ Datapath::completeInferenceChunk(InfBatch *batch, Tick chunk)
             ctx.completed_measured += batch->real;
         }
         ctx.completed_total += batch->real;
-        batch->done = true;
+        // retire() frees the batch: read what the trace needs first.
+        const ContextId svc_id = batch->svc->id;
+        const std::uint32_t real = batch->real;
+        const Tick service = finish - batch->first_issue;
         bool queued = ctx.batch_queue.retire(batch);
         EQX_ASSERT(queued, "finished batch not queued");
-        emit(TraceEventType::BatchRetired, batch->svc->id, batch->real,
-             finish - batch->first_issue);
-        // Last use of the batch: hand its storage back to the arena.
-        // No re-acquire can happen inside this call chain -- batch
-        // formation runs only from arrivals/timeouts, which the
-        // fast-forward engine never inlines.
-        ctx.batch_arena.release(batch);
         batch = nullptr;
+        emit(TraceEventType::BatchRetired, svc_id, real, service);
         ctx.maybeFinishWarmup();
         if (ctx.measuring && ctx.inference_load &&
             ctx.completed_measured >= ctx.spec.measure_requests &&
@@ -389,7 +386,7 @@ Datapath::advanceTrainingStep()
         // to a non-trivial hierarchy.
         train->mem_store_cursor = 0;
         ++train->iterations;
-        dispatcher->policy().onTrainingIteration();
+        dispatcher->noteTrainingIteration();
         emit(TraceEventType::TrainIteration, 0, train->iterations);
         // Parameter-server sync: gradients out, fresh model in, over the
         // host interface; double-buffered so it overlaps the next

@@ -124,8 +124,9 @@ FaultUnit::hostTransfer(Tick start, ByteCount bytes, dram::Priority prio,
     const auto &rp = ctx.spec.faults.retry;
     Tick deadline = kTickMax;
     if (rp.deadline_s > 0.0) {
-        deadline = start + units::secondsToCycles(rp.deadline_s,
-                                                  ctx.cfg.frequency_hz);
+        deadline = saturatingAdd(
+            start,
+            units::secondsToCycles(rp.deadline_s, ctx.cfg.frequency_hz));
     }
     Tick first_finish = 0;
     for (unsigned attempt = 0;; ++attempt) {
@@ -142,10 +143,19 @@ FaultUnit::hostTransfer(Tick start, ByteCount bytes, dram::Priority prio,
             emit(TraceEventType::HostTransfer, 0, bytes, attempt);
             return finish;
         }
-        if (attempt >= rp.max_retries || finish >= deadline) {
-            // Retry budget or per-request deadline exhausted: the
-            // payload is lost for good; livelock is impossible because
-            // both bounds are finite.
+        // A drop is detected by the response timeout, a corruption by
+        // the delivery CRC; either way the retry launches after the
+        // attempt's delivery horizon plus jittered backoff.
+        Tick retry_at = kTickMax;
+        if (attempt < rp.max_retries && finish < deadline) {
+            retry_at = saturatingAdd(finish,
+                                     injector->backoffCycles(attempt));
+        }
+        if (retry_at == kTickMax) {
+            // Retry budget or per-request deadline exhausted, or the
+            // backoff saturated past every horizon: the payload is lost
+            // for good; livelock is impossible because both bounds are
+            // finite.
             ++fstats.host_give_ups;
             if (ok)
                 *ok = false;
@@ -153,10 +163,7 @@ FaultUnit::hostTransfer(Tick start, ByteCount bytes, dram::Priority prio,
             return finish;
         }
         ++fstats.host_retries;
-        // A drop is detected by the response timeout, a corruption by
-        // the delivery CRC; either way the retry launches after the
-        // attempt's delivery horizon plus jittered backoff.
-        start = finish + injector->backoffCycles(attempt);
+        start = retry_at;
     }
 }
 
@@ -173,13 +180,14 @@ FaultUnit::onMmuHang()
     syncFaults();
     const auto &wd = ctx.spec.faults.watchdog;
     if (wd.enabled) {
-        Tick detect = now + units::secondsToCycles(wd.timeout_s,
-                                                   ctx.cfg.frequency_hz);
+        Tick detect = saturatingAdd(
+            now, units::secondsToCycles(wd.timeout_s, ctx.cfg.frequency_hz));
         ctx.events.schedule(detect, [this] { onWatchdogFire(); });
     } else {
         // No watchdog: the stall persists until it clears on its own.
-        Tick clear = now + units::secondsToCycles(wd.hang_duration_s,
-                                                  ctx.cfg.frequency_hz);
+        Tick clear = saturatingAdd(
+            now, units::secondsToCycles(wd.hang_duration_s,
+                                        ctx.cfg.frequency_hz));
         Tick started = now;
         ctx.events.schedule(clear, [this, started] {
             clearTransientHang(started);
@@ -197,12 +205,14 @@ FaultUnit::onWatchdogFire()
     const auto &wd = ctx.spec.faults.watchdog;
     // Costed reset: fixed controller reset, then every installed
     // service's weights re-install from DRAM at critical priority.
-    Tick resume = now + units::secondsToCycles(wd.reset_cost_s,
-                                               ctx.cfg.frequency_hz);
+    Tick resume = saturatingAdd(
+        now, units::secondsToCycles(wd.reset_cost_s, ctx.cfg.frequency_hz));
     ByteCount weights = 0;
     for (const auto &svc : ctx.services)
         weights += svc->desc.weight_footprint;
-    if (weights > 0)
+    // A reset that never finishes re-installs nothing (and must not
+    // push the link's free times past the end of the Tick range).
+    if (weights > 0 && resume != kTickMax)
         resume = ctx.hbm->transfer(resume, weights, dram::Priority::High);
     syncFaults();
     Tick hang_start = hang_started_at;

@@ -12,9 +12,10 @@
 #define EQUINOX_SIM_BLOCKS_INF_TYPES_HH
 
 #include <algorithm>
+#include <deque>
+#include <memory>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "sim/accelerator_types.hh"
@@ -33,23 +34,14 @@ struct InfService
     InferenceServiceDesc desc;
     Tick timeout_cycles = 0;      //!< adaptive batch-formation threshold
     ArrivalStream stream;         //!< arrival candidates (peak rate)
-    /**
-     * Arrival ticks awaiting batching. A growable ring instead of
-     * std::deque: arrival + batch-forming churn it on every request,
-     * and the ring never allocates after warmup.
-     */
-    common::Ring<Tick> pending;
+    std::deque<Tick> pending;     //!< arrival ticks awaiting batching
     bool timeout_armed = false;
     stats::LatencyTracker latency_cycles; //!< measured window
 };
 
 /**
- * A formed batch moving through the datapath. Storage comes from the
- * SimContext's batch arena (common::ObjectPool): the request
- * dispatcher acquires one per formed batch, the datapath releases it
- * at retire, and resetForReuse() re-initializes every field while
- * keeping the arrivals vector's grown capacity -- the steady state
- * forms batches with zero heap allocations.
+ * A formed batch moving through the datapath. The BatchQueue owns it
+ * from formation until the datapath retires it.
  */
 struct InfBatch
 {
@@ -61,22 +53,6 @@ struct InfBatch
     Tick ready_at = 0;            //!< next step's dependence-ready tick
     Tick first_issue = kTickMax;
     bool in_flight = false;
-    bool done = false;
-
-    /** Reset to a fresh batch; arrivals keeps its capacity. */
-    void
-    resetForReuse()
-    {
-        svc = nullptr;
-        real = 0;
-        arrivals.clear();
-        step = 0;
-        issued_in_step = 0;
-        ready_at = 0;
-        first_issue = kTickMax;
-        in_flight = false;
-        done = false;
-    }
 };
 
 /** The training service's execution and prefetch state. */
@@ -114,9 +90,10 @@ struct TrainState
 
 /**
  * FIFO port between the batch former (producer) and the instruction
- * dispatcher / datapath (consumers). Iteration order is arrival order;
- * retirement erases the batch wherever it sits, preserving the order
- * of the rest -- the scan-based scheduling policies depend on it.
+ * dispatcher / datapath (consumers), and the owner of every batch in
+ * flight. Iteration order is arrival order; retirement erases (and
+ * frees) the batch wherever it sits, preserving the order of the rest
+ * -- the scan-based scheduling policies depend on it.
  *
  * Backed by a flat vector: the instruction dispatcher's ready-batch
  * scan is the simulator's single hottest loop, and contiguous pointer
@@ -127,13 +104,16 @@ struct TrainState
 class BatchQueue
 {
   public:
-    void push(InfBatch *b) { q.push_back(b); }
+    using Storage = std::vector<std::unique_ptr<InfBatch>>;
 
-    /** Remove @p b; @return false when it was not queued. */
+    void push(std::unique_ptr<InfBatch> b) { q.push_back(std::move(b)); }
+
+    /** Remove and free @p b; @return false when it was not queued. */
     bool
-    retire(InfBatch *b)
+    retire(const InfBatch *b)
     {
-        auto it = std::find(q.begin(), q.end(), b);
+        auto it = std::find_if(q.begin(), q.end(),
+                               [b](const auto &p) { return p.get() == b; });
         if (it == q.end())
             return false;
         q.erase(it);
@@ -142,19 +122,14 @@ class BatchQueue
 
     std::size_t size() const { return q.size(); }
     bool empty() const { return q.empty(); }
+    /** Free every queued batch (a run's horizon may cut them off). */
     void clear() { q.clear(); }
 
-    std::vector<InfBatch *>::const_iterator begin() const
-    {
-        return q.begin();
-    }
-    std::vector<InfBatch *>::const_iterator end() const
-    {
-        return q.end();
-    }
+    Storage::const_iterator begin() const { return q.begin(); }
+    Storage::const_iterator end() const { return q.end(); }
 
   private:
-    std::vector<InfBatch *> q;
+    Storage q;
 };
 
 } // namespace sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/units.hh"
 #include "sim/blocks/context.hh"
 #include "sim/blocks/datapath.hh"
 #include "sim/blocks/fault_unit.hh"
@@ -15,19 +16,10 @@ namespace sim
 
 InstructionDispatcher::InstructionDispatcher(SimContext &context)
     : SimBlock(context, "instruction_dispatcher"),
-      policy_(makeSchedulingPolicy(context.cfg))
+      turnaround(units::secondsToCycles(context.cfg.software_turnaround_s,
+                                        context.cfg.frequency_hz))
 {
-    // Built once: constructing three std::functions per scheduling
-    // round showed up in profiles. The closures capture only `this`,
-    // which outlives the view.
-    view_.spike = [this] { return spikeDetected(); };
-    view_.queue_low = [this] { return inferenceQueueLow(); };
-    view_.pending_work = [this] {
-        return requests->pendingInferenceWork();
-    };
 }
-
-InstructionDispatcher::~InstructionDispatcher() = default;
 
 void
 InstructionDispatcher::connect(Datapath *datapath_,
@@ -43,7 +35,8 @@ void
 InstructionDispatcher::resetRun()
 {
     prefer_training = false;
-    policy_->reset();
+    exclusive_training = false;
+    next_decision = 0;
     armed_wakes_.clear(); // the run's EventQueue was rebuilt
     rounds = 0;
     inf_issues = 0;
@@ -80,39 +73,17 @@ InstructionDispatcher::firstReadyBatch()
     // fig7 run before the exit).
     const bool single_ctx = ctx.services.size() <= 1;
     InfBatch *fallback = nullptr;
-    for (auto *b : ctx.batch_queue) {
-        if (b->done || b->in_flight || b->ready_at > now)
+    for (const auto &b : ctx.batch_queue) {
+        if (b->in_flight || b->ready_at > now)
             continue;
         if (single_ctx)
-            return b;
+            return b.get();
         if (b->svc->id != last_served_ctx)
-            return b;
+            return b.get();
         if (!fallback)
-            fallback = b;
+            fallback = b.get();
     }
     return fallback;
-}
-
-bool
-InstructionDispatcher::inferenceQueueLow() const
-{
-    // "Low queuing": at most one batch anywhere in the pipeline and no
-    // full batch of raw requests waiting to form. Both facts are
-    // maintained incrementally (see SimContext) -- this predicate runs
-    // on every policy round and used to rescan every service.
-    return ctx.batch_queue.size() <= 1 &&
-           ctx.full_pending_services == 0;
-}
-
-bool
-InstructionDispatcher::spikeDetected() const
-{
-    // The instruction controller compares the inference queue size
-    // against an install-time threshold (section 3.2). O(1): the
-    // unstarted-batch and full-pending-service counts are maintained
-    // at their mutation sites instead of rescanned per round.
-    return ctx.unstarted_batches >= ctx.cfg.spike_threshold_batches ||
-           ctx.full_pending_services > 0;
 }
 
 bool
@@ -154,12 +125,24 @@ InstructionDispatcher::tryDispatch()
     InfBatch *inf = firstReadyBatch();
     bool train_ok = trainingReady();
 
-    // The policy sees readiness plus lazy (pure) queue predicates and
-    // vetoes service classes; the round-robin and the issue stay here.
-    view_.now = now;
-    view_.inference_ready = inf != nullptr;
-    view_.training_ready = train_ok;
-    SchedDecision d = policy_->decide(view_);
+    // The policy sees readiness plus the queue counters and vetoes
+    // service classes; the round-robin and the issue stay here. The
+    // counters are maintained incrementally (see SimContext), so the
+    // spike/queue-low predicates are O(1); the pending-work scan runs
+    // only when the software scheduler asks for it.
+    SchedulerView view;
+    view.now = now;
+    view.inference_ready = inf != nullptr;
+    view.training_ready = train_ok;
+    view.queued_batches = ctx.batch_queue.size();
+    view.unstarted_batches = ctx.unstarted_batches;
+    view.full_pending_services = ctx.full_pending_services;
+    view.spike_threshold = ctx.cfg.spike_threshold_batches;
+    view.exclusive_training = exclusive_training;
+    view.next_decision = next_decision;
+    SchedDecision d = decide(ctx.cfg.sched_policy, view, [this] {
+        return requests->pendingInferenceWork();
+    });
     if (!d.allow_inference)
         inf = nullptr;
     if (!d.allow_training)
@@ -187,7 +170,12 @@ InstructionDispatcher::tryDispatch()
     }
     if (train_ok) {
         prefer_training = false;
-        policy_->onTrainingIssue(now);
+        if (ctx.cfg.sched_policy == SchedPolicy::SoftwareBatch) {
+            // Training won the round alone: the software-scheduled
+            // batch holds the MMU until its iteration retires.
+            exclusive_training = true;
+            next_decision = saturatingAdd(now, turnaround);
+        }
         ++train_issues;
         datapath->issueTrainingChunk();
         return;
@@ -196,8 +184,8 @@ InstructionDispatcher::tryDispatch()
     // Nothing ready: wake at the earliest dependence-ready tick. Staging
     // arrivals and request arrivals re-invoke tryDispatch themselves.
     Tick wake = kTickMax;
-    for (auto *b : ctx.batch_queue) {
-        if (!b->done && !b->in_flight)
+    for (const auto &b : ctx.batch_queue) {
+        if (!b->in_flight)
             wake = std::min(wake, b->ready_at);
     }
     if (ctx.train && !ctx.train->in_flight && ctx.train->ready_at > now)

@@ -6,15 +6,16 @@
  * Each decision round it selects the next MMU occupant: scans the batch
  * queue port for a dependence-ready inference batch (FIFO within a
  * context, round-robin across contexts), checks training readiness
- * (staged operands, dependence, storm shedding), consults the pluggable
- * SchedulingPolicy for vetoes, and round-robins between the survivors.
+ * (staged operands, dependence, storm shedding), asks decide() for the
+ * configured SchedPolicy's vetoes, and round-robins between the
+ * survivors.
  * The actual cycle charging happens in the Datapath block it issues to.
  */
 
 #ifndef EQUINOX_SIM_BLOCKS_INSTRUCTION_DISPATCHER_HH
 #define EQUINOX_SIM_BLOCKS_INSTRUCTION_DISPATCHER_HH
 
-#include <memory>
+#include <vector>
 
 #include "common/types.hh"
 #include "sim/blocks/inf_types.hh"
@@ -35,7 +36,6 @@ class InstructionDispatcher final : public SimBlock
 {
   public:
     explicit InstructionDispatcher(SimContext &context);
-    ~InstructionDispatcher() override;
 
     /** Wire control ports (composition root, once). */
     void connect(Datapath *datapath_, RequestDispatcher *requests_,
@@ -66,13 +66,11 @@ class InstructionDispatcher final : public SimBlock
     /** A dependence-ready batch exists right now (pure query). */
     bool firstReadyBatchWaiting() { return firstReadyBatch() != nullptr; }
 
-    /** The active policy (owned; replaced only between runs). */
-    SchedulingPolicy &policy() { return *policy_; }
+    /** A full training iteration retired: release the software latch. */
+    void noteTrainingIteration() { exclusive_training = false; }
 
   private:
     InfBatch *firstReadyBatch();
-    bool inferenceQueueLow() const;
-    bool spikeDetected() const;
     bool trainingReady() const;
     void scheduleWake(Tick at, bool tail = false);
 
@@ -80,13 +78,15 @@ class InstructionDispatcher final : public SimBlock
     RequestDispatcher *requests = nullptr;
     FaultUnit *faults = nullptr;
 
-    std::unique_ptr<SchedulingPolicy> policy_;
+    /** Software-scheduler decision turnaround, in cycles. */
+    const Tick turnaround;
     /**
-     * Reusable policy view: the lazy predicate closures are built once
-     * per run instead of constructing three std::functions on every
-     * scheduling round; tryDispatch() only refreshes the scalars.
+     * SchedPolicy::SoftwareBatch state, set when training issues as
+     * the sole winner of a round: the unpreemptible-training latch
+     * (released at the end of the iteration) and the decision gate.
      */
-    SchedulerView view_;
+    bool exclusive_training = false;
+    Tick next_decision = 0;
     /**
      * Ticks with an armed tryDispatch() wakeup. Completion paths used
      * to re-arm an identical wake after every same-gap arrival; the

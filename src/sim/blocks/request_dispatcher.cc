@@ -1,6 +1,7 @@
 #include "sim/blocks/request_dispatcher.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -32,13 +33,9 @@ RequestDispatcher::connect(InstructionDispatcher *dispatcher_,
 void
 RequestDispatcher::resetRun()
 {
-    ctx.batch_queue.clear();
+    ctx.batch_queue.clear(); // frees batches the horizon cut off
     ctx.unstarted_batches = 0;
     ctx.full_pending_services = 0;
-    // Return every batch -- including ones the previous run's horizon
-    // cut off mid-flight -- to the arena in canonical order, so this
-    // run's acquire sequence matches a fresh accelerator's.
-    ctx.batch_arena.reset();
     batches_formed = 0;
     batches_incomplete = 0;
     batch_fill_sum = 0.0;
@@ -227,10 +224,11 @@ void
 RequestDispatcher::formBatch(InfService &svc, std::uint32_t real)
 {
     const std::uint32_t batch_rows = svc.desc.program.batch_rows;
-    InfBatch *batch = ctx.batch_arena.acquire();
-    batch->resetForReuse();
+    auto owned = std::make_unique<InfBatch>();
+    InfBatch *batch = owned.get();
     batch->svc = &svc;
     batch->real = real;
+    batch->arrivals.reserve(real);
     for (std::uint32_t i = 0; i < real; ++i) {
         batch->arrivals.push_back(svc.pending.front());
         svc.pending.pop_front();
@@ -249,7 +247,7 @@ RequestDispatcher::formBatch(InfService &svc, std::uint32_t real)
         ctx.host_bytes_measured += in_bytes;
     }
     emit(TraceEventType::BatchFormed, svc.id, real, batch_rows);
-    ctx.batch_queue.push(batch);
+    ctx.batch_queue.push(std::move(owned));
     ++ctx.unstarted_batches;
 }
 
@@ -304,10 +302,8 @@ RequestDispatcher::pendingInferenceWork() const
     std::uint64_t n = 0;
     for (const auto &svc : ctx.services)
         n += svc->pending.size();
-    for (const auto *b : ctx.batch_queue) {
-        if (!b->done)
-            n += b->real;
-    }
+    for (const auto &b : ctx.batch_queue)
+        n += b->real;
     return n;
 }
 

@@ -1,22 +1,18 @@
 /**
  * @file
- * Pluggable execution-unit scheduling policies (Figure 5, section 3.2).
+ * The execution-unit scheduling regimes (Figure 5, section 3.2).
  *
- * Each decision round the instruction dispatcher builds a SchedulerView
- * of the machine -- what is ready, plus lazy predicates for the more
- * expensive queue inspections -- and asks the installed policy which
- * service classes may issue. The dispatcher keeps the round-robin
- * alternation and the actual issue; the policy only vetoes.
- *
- * To add a policy: subclass SchedulingPolicy, implement decide(), and
- * extend makeSchedulingPolicy(); nothing else in the simulator changes.
+ * Each decision round the instruction dispatcher fills a SchedulerView
+ * with plain values and asks decide() which service classes the
+ * configured SchedPolicy lets issue. The dispatcher keeps the
+ * round-robin alternation and the actual issue; decide() only vetoes.
  */
 
 #ifndef EQUINOX_SIM_BLOCKS_SCHEDULING_POLICY_HH
 #define EQUINOX_SIM_BLOCKS_SCHEDULING_POLICY_HH
 
-#include <functional>
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/types.hh"
 #include "sim/config.hh"
@@ -26,11 +22,7 @@ namespace equinox
 namespace sim
 {
 
-/**
- * What a policy can see of the machine at one decision round. The
- * function members are lazy so a policy only pays for the queue scans
- * it actually consults; all predicates are pure (no side effects).
- */
+/** What the scheduler sees of the machine at one decision round. */
 struct SchedulerView
 {
     Tick now = 0;
@@ -38,109 +30,95 @@ struct SchedulerView
     bool inference_ready = false;
     /** Training has staged operands and is dependence-ready. */
     bool training_ready = false;
-    /** Load spike: unstarted batches piled past the install threshold. */
-    std::function<bool()> spike;
+
+    // Inputs of the O(1) queue predicates (see SimContext).
+    std::size_t queued_batches = 0;
+    std::uint32_t unstarted_batches = 0;
+    std::uint32_t full_pending_services = 0;
+    unsigned spike_threshold = 0;
+
+    // Software-batch state (SchedPolicy::SoftwareBatch only).
+    /** A software-scheduled training batch holds the MMU. */
+    bool exclusive_training = false;
+    /** The software decision-turnaround gate opens at this tick. */
+    Tick next_decision = 0;
+
+    /**
+     * Load spike: unstarted batches piled past the install threshold
+     * (section 3.2), or a full raw batch waiting to form.
+     */
+    bool
+    spike() const
+    {
+        return unstarted_batches >= spike_threshold ||
+               full_pending_services > 0;
+    }
+
     /** At most one batch anywhere and no full raw batch waiting. */
-    std::function<bool()> queue_low;
-    /** Raw requests + unfinished batched requests in the pipeline. */
-    std::function<std::uint64_t()> pending_work;
+    bool
+    queueLow() const
+    {
+        return queued_batches <= 1 && full_pending_services == 0;
+    }
 };
 
-/** A policy's verdict for one decision round. */
+/** The scheduler's verdict for one decision round. */
 struct SchedDecision
 {
     bool allow_inference = true;
     bool allow_training = true;
     /**
      * When != kTickMax: re-run the dispatcher at this tick even if no
-     * completion wakes it (used by the software scheduler's decision
-     * turnaround gate).
+     * completion wakes it (the software scheduler's turnaround gate).
      */
     Tick revisit_at = kTickMax;
 };
 
-/** Strategy interface the instruction dispatcher consults. */
-class SchedulingPolicy
-{
-  public:
-    virtual ~SchedulingPolicy() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Clear per-run state (start of Accelerator::run). */
-    virtual void reset() {}
-
-    /** Veto service classes for this round. Must not schedule events. */
-    virtual SchedDecision decide(const SchedulerView &view) = 0;
-
-    /** Training issued as the sole winner of the round at @p now. */
-    virtual void onTrainingIssue(Tick now) { (void)now; }
-
-    /** A full training iteration just retired. */
-    virtual void onTrainingIteration() {}
-};
-
-/** Baseline: training never issues. */
-class InferenceOnlyPolicy final : public SchedulingPolicy
-{
-  public:
-    const char *name() const override { return "inference_only"; }
-    SchedDecision decide(const SchedulerView &view) override;
-};
-
 /**
- * The paper's hardware priority scheduler, three regimes: round-robin
- * while inference queuing is low; inference-first (training fills
- * dependence gaps) when batches back up; training frozen entirely
- * during a load spike.
+ * Veto service classes for one round under @p policy. Pure: it reads
+ * only the predicates its regime needs, spike before queue-low, and
+ * calls @p pending_work (raw requests plus unfinished batched requests,
+ * a queue scan) only when the software scheduler asks whether the
+ * machine is idle.
  */
-class PriorityPolicy final : public SchedulingPolicy
+template <typename PendingWork>
+SchedDecision
+decide(SchedPolicy policy, const SchedulerView &view,
+       PendingWork &&pending_work)
 {
-  public:
-    const char *name() const override { return "priority"; }
-    SchedDecision decide(const SchedulerView &view) override;
-};
-
-/** Hardware fair-share: always round-robin, never vetoes. */
-class FairSharePolicy final : public SchedulingPolicy
-{
-  public:
-    const char *name() const override { return "fair_share"; }
-    SchedDecision decide(const SchedulerView &view) override;
-};
-
-/**
- * The section-6 software control plane: training only at batch
- * granularity, only into a fully idle machine, and only after the
- * software decision turnaround elapses; once issued, the training
- * batch cannot be preempted until its iteration retires.
- */
-class SoftwareBatchPolicy final : public SchedulingPolicy
-{
-  public:
-    explicit SoftwareBatchPolicy(Tick turnaround_cycles)
-        : turnaround(turnaround_cycles)
-    {
+    SchedDecision d;
+    switch (policy) {
+      case SchedPolicy::InferenceOnly:
+        d.allow_training = false;
+        break;
+      case SchedPolicy::Priority:
+        // Three regimes: training frozen during a load spike;
+        // inference first (training only fills dependence gaps) while
+        // batches back up; round-robin while queuing is low.
+        if (view.spike() || (!view.queueLow() && view.inference_ready))
+            d.allow_training = false;
+        break;
+      case SchedPolicy::FairShare:
+        break;
+      case SchedPolicy::SoftwareBatch:
+        if (view.exclusive_training) {
+            // A software-scheduled training batch cannot be preempted.
+            d.allow_inference = false;
+        } else if (view.training_ready) {
+            // The software control plane schedules training only at
+            // batch granularity, only into a fully idle accelerator,
+            // and only after its decision turnaround elapses.
+            bool idle = !view.inference_ready && pending_work() == 0;
+            if (!idle || view.now < view.next_decision) {
+                d.allow_training = false;
+                if (idle)
+                    d.revisit_at = view.next_decision;
+            }
+        }
+        break;
     }
-
-    const char *name() const override { return "software_batch"; }
-    void reset() override;
-    SchedDecision decide(const SchedulerView &view) override;
-    void onTrainingIssue(Tick now) override;
-    void onTrainingIteration() override;
-
-    /** Exposed for tests: the unpreemptible-training latch. */
-    bool exclusiveTraining() const { return exclusive_training; }
-
-  private:
-    Tick turnaround;
-    Tick next_decision = 0;       //!< decision-turnaround gate
-    bool exclusive_training = false;
-};
-
-/** Build the policy configured by @p cfg.sched_policy. */
-std::unique_ptr<SchedulingPolicy>
-makeSchedulingPolicy(const AcceleratorConfig &cfg);
+    return d;
+}
 
 } // namespace sim
 } // namespace equinox

@@ -144,9 +144,8 @@ class EventQueue
      * last tick scheduleFast() may inline at: events landing past it
      * are scheduled for real, reproducing the run loop's exactly-one-
      * event overshoot semantics at the horizon. The accelerator turns
-     * this on per run (RunSpec::fast_forward, EQX_FASTFORWARD=0 to
-     * veto); the queue default is off so the raw contract tests see
-     * the scheduled path.
+     * this on per run (RunSpec::fast_forward); the queue default is
+     * off so the raw contract tests see the scheduled path.
      */
     void
     setFastForward(bool on, Tick limit)

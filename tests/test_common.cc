@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.hh"
 #include "common/types.hh"
@@ -37,6 +38,32 @@ TEST(Units, SecondsToCyclesRoundsUp)
     // 500 us at 610 MHz = 305000 cycles exactly.
     EXPECT_EQ(units::secondsToCycles(units::us(500), units::MHz(610)),
               305000u);
+}
+
+TEST(Units, SecondsToCyclesSaturates)
+{
+    constexpr Tick kMax = std::numeric_limits<Tick>::max();
+    // 2^64 cycles and beyond do not fit: saturate, never wrap.
+    EXPECT_EQ(units::secondsToCycles(0x1p64, 1.0), kMax);
+    EXPECT_EQ(units::secondsToCycles(1e300, units::MHz(610)), kMax);
+    EXPECT_EQ(units::secondsToCycles(
+                  std::numeric_limits<double>::infinity(), 1.0),
+              kMax);
+    EXPECT_EQ(units::secondsToCycles(
+                  std::numeric_limits<double>::quiet_NaN(), 1.0),
+              kMax);
+    // The largest double below 2^64 still converts exactly.
+    EXPECT_EQ(units::secondsToCycles(0x1p64 - 2048.0, 1.0),
+              kMax - 2047u);
+}
+
+TEST(Units, SaturatingAddNeverWraps)
+{
+    EXPECT_EQ(saturatingAdd(2, 3), 5u);
+    EXPECT_EQ(saturatingAdd(kTickMax - 1, 1), kTickMax);
+    EXPECT_EQ(saturatingAdd(kTickMax - 1, 2), kTickMax);
+    EXPECT_EQ(saturatingAdd(5, kTickMax), kTickMax);
+    EXPECT_EQ(saturatingAdd(kTickMax, kTickMax), kTickMax);
 }
 
 TEST(Units, CyclesToSecondsInvertsWholeCycles)

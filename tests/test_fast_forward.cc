@@ -286,9 +286,8 @@ TEST(FastForwardDifferential, GoldenScenarioInlinesAndMatches)
 
 TEST(FastForwardDifferential, EnvEscapeHatchKeepsResultsIdentical)
 {
-    // EQX_FASTFORWARD=0 is read once per process, so simulate the
-    // veto through the spec flag: a cycle-accurate run of the golden
-    // scenario still produces the golden digest.
+    // The escape hatch is the spec flag: a cycle-accurate run of the
+    // golden scenario still produces the golden digest.
     auto cfg = testutil::smallConfig();
     cfg.sched_policy = sim::SchedPolicy::Priority;
     workload::Compiler compiler(cfg);

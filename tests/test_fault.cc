@@ -249,8 +249,10 @@ TEST(FaultPlan, ValidateCatchesBadKnobs)
 
 TEST(FaultPlan, RejectsNanInEveryBound)
 {
-    // Every bound is written so that NaN fails it; a NaN rate or time
-    // would otherwise reach a seconds-to-cycles cast or draw nothing.
+    // Every bound is written so that NaN and +-inf fail it; a NaN or
+    // infinite rate or time would otherwise reach a seconds-to-cycles
+    // cast, draw nothing, or (an infinite hang rate) never end the
+    // hang schedule.
     struct Knob
     {
         const char *field; //!< substring the error must contain
@@ -286,16 +288,23 @@ TEST(FaultPlan, RejectsNanInEveryBound)
         {"degrade.storm_window_s",
          [](Plan &p, double v) { p.degrade.storm_window_s = v; }},
     };
+    const double bad_values[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+    };
     for (const auto &k : knobs) {
-        Plan bad;
-        k.set(bad, std::numeric_limits<double>::quiet_NaN());
-        auto errors = bad.validate();
-        EXPECT_TRUE(std::any_of(errors.begin(), errors.end(),
-                                [&k](const std::string &e) {
-                                    return e.find(k.field) !=
-                                           std::string::npos;
-                                }))
-            << k.field;
+        for (double v : bad_values) {
+            Plan bad;
+            k.set(bad, v);
+            auto errors = bad.validate();
+            EXPECT_TRUE(std::any_of(errors.begin(), errors.end(),
+                                    [&k](const std::string &e) {
+                                        return e.find(k.field) !=
+                                               std::string::npos;
+                                    }))
+                << k.field << " = " << v;
+        }
     }
 }
 
@@ -605,6 +614,56 @@ TEST(FaultRecovery, UndetectedHangClearsAfterItsDuration)
     Tick expect = units::secondsToCycles(2e-3, cfg.frequency_hz);
     EXPECT_EQ(res.faults.downtime_cycles, expect);
     EXPECT_EQ(res.completed_requests, 400u);
+}
+
+TEST(FaultRecovery, HugeFiniteTimesSaturateAtNever)
+{
+    // 1e300 s is finite, so it validates, but no Tick holds its cycle
+    // count: the detection, clear and reset times saturate at "never"
+    // instead of wrapping into the past, and a retry whose backoff
+    // saturates gives the payload up.
+    struct Knob
+    {
+        const char *field;
+        void (*set)(fault::FaultPlan &);
+    };
+    const Knob knobs[] = {
+        {"watchdog.timeout_s",
+         [](fault::FaultPlan &p) { p.watchdog.timeout_s = 1e300; }},
+        {"watchdog.hang_duration_s",
+         [](fault::FaultPlan &p) {
+             p.watchdog.enabled = false;
+             p.watchdog.hang_duration_s = 1e300;
+         }},
+        {"watchdog.reset_cost_s",
+         [](fault::FaultPlan &p) { p.watchdog.reset_cost_s = 1e300; }},
+        {"retry.backoff_multiplier",
+         [](fault::FaultPlan &p) {
+             p.host_drop_prob = 0.3;
+             p.retry.backoff_multiplier = 1e300;
+         }},
+    };
+    auto cfg = smallConfig();
+    workload::Compiler compiler(cfg);
+    for (const auto &k : knobs) {
+        sim::Accelerator accel(cfg);
+        accel.installInference(compiler.compileInference(tinyRnn()));
+        sim::RunSpec spec;
+        spec.warmup_requests = 0;
+        spec.measure_requests = 200;
+        spec.seed = 3;
+        spec.max_sim_s = 0.05;
+        spec.arrival_rate_per_s = 0.3 * accel.maxRequestRate();
+        spec.faults.scheduled.push_back({1e-4, fault::FaultKind::MmuHang});
+        k.set(spec.faults);
+        ASSERT_TRUE(spec.faults.validate().empty()) << k.field;
+        auto res = accel.run(spec);
+        const auto &fs = res.faults;
+        EXPECT_EQ(fs.mmu_hangs, 1u) << k.field;
+        EXPECT_EQ(fs.host_drops + fs.host_corruptions,
+                  fs.host_retries + fs.host_give_ups)
+            << k.field;
+    }
 }
 
 TEST(FaultRecovery, RetryRecoversEveryLossWithoutLivelock)

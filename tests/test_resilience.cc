@@ -930,6 +930,44 @@ TEST(ControlPlane, RetryHeavyRouteKeepsTracesOrdered)
     EXPECT_LE(s.retry_recovered, s.retry_attempts);
 }
 
+TEST(ControlPlane, HugeBackoffSaturatesAndKeepsTracesOrdered)
+{
+    // A 1e300 multiplier is finite (so valid), but the second retry's
+    // backoff no longer fits a Tick and the third is +inf: both must
+    // saturate at "never" instead of hitting an undefined cast or
+    // wrapping to a tick before their own candidate.
+    cluster::ResilienceSpec spec;
+    spec.retry.enabled = true;
+    spec.retry.max_attempts = 4;
+    spec.retry.max_budget = 1e6;
+    spec.retry.base_backoff_cycles = 100000;
+    spec.retry.backoff_multiplier = 1e300;
+    ASSERT_TRUE(spec.validate().empty());
+
+    const double mu = 1e-3;
+    const Tick horizon = 4000000;
+    std::vector<cluster::RouterOutage> outages{
+        {0, 500000, 1500000}, {1, 500000, 1500000}};
+    cluster::ControlPlane cp(spec, cluster::RoutingPolicy::RoundRobin,
+                             2, mu, 64, outages);
+    auto res = cp.route(1.6e-3, 7, horizon);
+    const auto &s = cp.stats();
+    EXPECT_GT(s.retry_attempts, 0u);
+    bool saturated = false;
+    for (std::size_t r = 0; r < res.traces.size(); ++r) {
+        const auto &trace = res.traces[r];
+        EXPECT_TRUE(std::is_sorted(trace.begin(), trace.end()))
+            << "replica " << r;
+        saturated = saturated ||
+                    std::find(trace.begin(), trace.end(), kTickMax) !=
+                        trace.end();
+    }
+    EXPECT_TRUE(saturated);
+    EXPECT_EQ(res.generated, s.dispatched + s.totalShed());
+    EXPECT_EQ(s.admission.admitted,
+              s.dispatched + s.retry_shed + s.outage_shed);
+}
+
 TEST(ControlPlane, HedgeBudgetCapsDuplicates)
 {
     cluster::ResilienceSpec spec;

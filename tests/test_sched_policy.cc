@@ -1,16 +1,22 @@
 /**
  * @file
- * Unit tests for the pluggable execution-unit scheduling policies
- * (section 3.2), exercising every decision point in isolation: the
+ * Unit tests for the execution-unit scheduling regimes (section 3.2),
+ * exercising every decision point of decide() in isolation: the
  * priority scheduler's three regimes (round-robin, inference-first,
  * spike freeze), the fair-share and inference-only baselines, and the
- * software control plane's idle/turnaround/exclusive gating.
+ * software control plane's idle/turnaround/exclusive gating -- plus the
+ * software latch's lifecycle across back-to-back runs.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/units.hh"
+#include "sim/accelerator.hh"
 #include "sim/blocks/scheduling_policy.hh"
 #include "sim/config.hh"
+#include "sim/result_digest.hh"
+#include "workload/compiler.hh"
+#include "workload/dnn_model.hh"
 
 namespace equinox
 {
@@ -19,29 +25,63 @@ namespace sim
 namespace
 {
 
-/** A view with every predicate pinned to an explicit value. */
+constexpr unsigned kSpikeThreshold = 2;
+
+/**
+ * A view whose queue counters make spike() and queueLow() read as
+ * asked (a spike implies a backed-up queue, so not both).
+ */
 SchedulerView
 view(bool inf_ready, bool train_ready, bool spike, bool queue_low,
-     std::uint64_t pending = 0, Tick now = 0)
+     Tick now = 0)
 {
+    EXPECT_FALSE(spike && queue_low);
     SchedulerView v;
     v.now = now;
     v.inference_ready = inf_ready;
     v.training_ready = train_ready;
-    v.spike = [spike] { return spike; };
-    v.queue_low = [queue_low] { return queue_low; };
-    v.pending_work = [pending] { return pending; };
+    v.spike_threshold = kSpikeThreshold;
+    v.queued_batches = queue_low ? 1 : kSpikeThreshold;
+    v.unstarted_batches = spike ? kSpikeThreshold : 0;
+    EXPECT_EQ(v.spike(), spike);
+    EXPECT_EQ(v.queueLow(), queue_low);
     return v;
+}
+
+SchedDecision
+decideWith(SchedPolicy policy, const SchedulerView &v,
+           std::uint64_t pending = 0)
+{
+    return decide(policy, v, [pending] { return pending; });
+}
+
+TEST(SchedulerView, QueuePredicatesFollowTheCounters)
+{
+    SchedulerView v;
+    v.spike_threshold = 3;
+    v.queued_batches = 1;
+    EXPECT_FALSE(v.spike());
+    EXPECT_TRUE(v.queueLow());
+    // A full raw batch waiting to form is both a spike and a backlog.
+    v.full_pending_services = 1;
+    EXPECT_TRUE(v.spike());
+    EXPECT_FALSE(v.queueLow());
+    v.full_pending_services = 0;
+    v.unstarted_batches = 3;
+    EXPECT_TRUE(v.spike());
+    v.queued_batches = 3;
+    EXPECT_FALSE(v.queueLow());
 }
 
 TEST(InferenceOnlyPolicy, AlwaysVetoesTraining)
 {
-    InferenceOnlyPolicy p;
-    auto d = p.decide(view(true, true, false, true));
+    auto d = decideWith(SchedPolicy::InferenceOnly,
+                        view(true, true, false, true));
     EXPECT_TRUE(d.allow_inference);
     EXPECT_FALSE(d.allow_training);
 
-    d = p.decide(view(false, true, false, true));
+    d = decideWith(SchedPolicy::InferenceOnly,
+                   view(false, true, false, true));
     EXPECT_FALSE(d.allow_training);
     EXPECT_EQ(d.revisit_at, kTickMax);
 }
@@ -50,9 +90,9 @@ TEST(PriorityPolicy, RoundRobinWhileQueueLow)
 {
     // Regime 1 (section 3.2): low inference queuing, both classes may
     // issue -- the dispatcher's alternation interleaves them.
-    PriorityPolicy p;
-    auto d = p.decide(view(true, true, /*spike=*/false,
-                           /*queue_low=*/true));
+    auto d = decideWith(SchedPolicy::Priority,
+                        view(true, true, /*spike=*/false,
+                             /*queue_low=*/true));
     EXPECT_TRUE(d.allow_inference);
     EXPECT_TRUE(d.allow_training);
 }
@@ -61,9 +101,9 @@ TEST(PriorityPolicy, InferenceFirstWhenBatchesBackUp)
 {
     // Regime 2: queuing is no longer low and a batch is ready, so
     // training is held back and inference issues first.
-    PriorityPolicy p;
-    auto d = p.decide(view(/*inf_ready=*/true, true, /*spike=*/false,
-                           /*queue_low=*/false));
+    auto d = decideWith(SchedPolicy::Priority,
+                        view(/*inf_ready=*/true, true, /*spike=*/false,
+                             /*queue_low=*/false));
     EXPECT_TRUE(d.allow_inference);
     EXPECT_FALSE(d.allow_training);
 }
@@ -72,26 +112,26 @@ TEST(PriorityPolicy, TrainingFillsDependenceGaps)
 {
     // Regime 2 corollary: batches are backed up but none is
     // dependence-ready this round (a "gap") -- training may fill it.
-    PriorityPolicy p;
-    auto d = p.decide(view(/*inf_ready=*/false, true, /*spike=*/false,
-                           /*queue_low=*/false));
+    auto d = decideWith(SchedPolicy::Priority,
+                        view(/*inf_ready=*/false, true, /*spike=*/false,
+                             /*queue_low=*/false));
     EXPECT_TRUE(d.allow_training);
 }
 
 TEST(PriorityPolicy, SpikeFreezesTrainingEntirely)
 {
     // Regime 3: a load spike freezes training even in dependence gaps.
-    PriorityPolicy p;
-    auto d = p.decide(view(/*inf_ready=*/false, true, /*spike=*/true,
-                           /*queue_low=*/false));
+    auto d = decideWith(SchedPolicy::Priority,
+                        view(/*inf_ready=*/false, true, /*spike=*/true,
+                             /*queue_low=*/false));
     EXPECT_FALSE(d.allow_training);
     EXPECT_TRUE(d.allow_inference);
 }
 
 TEST(FairSharePolicy, NeverVetoes)
 {
-    FairSharePolicy p;
-    auto d = p.decide(view(true, true, true, false));
+    auto d = decideWith(SchedPolicy::FairShare,
+                        view(true, true, true, false));
     EXPECT_TRUE(d.allow_inference);
     EXPECT_TRUE(d.allow_training);
     EXPECT_EQ(d.revisit_at, kTickMax);
@@ -99,102 +139,94 @@ TEST(FairSharePolicy, NeverVetoes)
 
 TEST(SoftwareBatchPolicy, TrainingNeedsFullyIdleMachine)
 {
-    SoftwareBatchPolicy p(/*turnaround_cycles=*/100);
-    p.reset();
     // Pending raw requests keep the machine non-idle even when no batch
     // is dependence-ready: the software scheduler must not start
     // training it could not preempt.
-    auto d = p.decide(view(/*inf_ready=*/false, true, false, true,
-                           /*pending=*/3, /*now=*/1000));
+    auto d = decideWith(SchedPolicy::SoftwareBatch,
+                        view(/*inf_ready=*/false, true, false, true,
+                             /*now=*/1000),
+                        /*pending=*/3);
     EXPECT_FALSE(d.allow_training);
     EXPECT_EQ(d.revisit_at, kTickMax); // not idle: no revisit armed
+
+    d = decideWith(SchedPolicy::SoftwareBatch,
+                   view(false, true, false, true, /*now=*/1000));
+    EXPECT_TRUE(d.allow_training);
 }
 
 TEST(SoftwareBatchPolicy, TurnaroundGateDelaysIdleIssue)
 {
-    SoftwareBatchPolicy p(/*turnaround_cycles=*/100);
-    p.reset();
-    // Issue once at t=50: the latch engages and the next decision
-    // cannot happen before t=150.
-    auto d = p.decide(view(false, true, false, true, 0, /*now=*/50));
-    EXPECT_TRUE(d.allow_training);
-    p.onTrainingIssue(50);
-    EXPECT_TRUE(p.exclusiveTraining());
-    p.onTrainingIteration();
-    EXPECT_FALSE(p.exclusiveTraining());
-
-    // Idle again at t=100, inside the turnaround: veto, and ask the
-    // dispatcher to revisit exactly when the gate opens.
-    d = p.decide(view(false, true, false, true, 0, /*now=*/100));
+    // Training issued at t=50 with a 100-cycle turnaround: the gate
+    // opens at t=150. Idle again at t=100, inside the turnaround: veto,
+    // and ask the dispatcher to revisit exactly when the gate opens.
+    auto v = view(false, true, false, true, /*now=*/100);
+    v.next_decision = 150;
+    auto d = decideWith(SchedPolicy::SoftwareBatch, v);
     EXPECT_FALSE(d.allow_training);
     EXPECT_EQ(d.revisit_at, 150u);
 
     // At the gate the veto lifts.
-    d = p.decide(view(false, true, false, true, 0, /*now=*/150));
+    v.now = 150;
+    d = decideWith(SchedPolicy::SoftwareBatch, v);
     EXPECT_TRUE(d.allow_training);
+    EXPECT_EQ(d.revisit_at, kTickMax);
 }
 
 TEST(SoftwareBatchPolicy, ExclusiveTrainingBlocksInference)
 {
-    SoftwareBatchPolicy p(/*turnaround_cycles=*/10);
-    p.reset();
-    p.onTrainingIssue(0);
     // A software-scheduled training batch cannot be preempted: even a
     // ready inference batch must wait for the iteration to retire.
-    auto d = p.decide(view(/*inf_ready=*/true, false, false, true, 5,
-                           /*now=*/3));
+    auto v = view(/*inf_ready=*/true, false, false, true, /*now=*/3);
+    v.exclusive_training = true;
+    auto d = decideWith(SchedPolicy::SoftwareBatch, v, 5);
     EXPECT_FALSE(d.allow_inference);
-    p.onTrainingIteration();
-    d = p.decide(view(true, false, false, true, 5, /*now=*/4));
+    v.exclusive_training = false;
+    d = decideWith(SchedPolicy::SoftwareBatch, v, 5);
     EXPECT_TRUE(d.allow_inference);
 }
 
 TEST(SoftwareBatchPolicy, ResetClearsLatchAndGate)
 {
-    SoftwareBatchPolicy p(/*turnaround_cycles=*/1000);
-    p.onTrainingIssue(500); // latch + gate at 1500
-    p.reset();
-    EXPECT_FALSE(p.exclusiveTraining());
-    auto d = p.decide(view(false, true, false, true, 0, /*now=*/0));
-    EXPECT_TRUE(d.allow_training);
-}
-
-TEST(SchedulingPolicyFactory, BuildsConfiguredPolicy)
-{
+    // A horizon cut while training runs leaves the software latch and
+    // turnaround gate set; the next run's reset must clear both, so
+    // that run matches the same run on a fresh accelerator.
     AcceleratorConfig cfg;
-    cfg.sched_policy = SchedPolicy::InferenceOnly;
-    EXPECT_STREQ(makeSchedulingPolicy(cfg)->name(), "inference_only");
-    cfg.sched_policy = SchedPolicy::Priority;
-    EXPECT_STREQ(makeSchedulingPolicy(cfg)->name(), "priority");
-    cfg.sched_policy = SchedPolicy::FairShare;
-    EXPECT_STREQ(makeSchedulingPolicy(cfg)->name(), "fair_share");
+    cfg.name = "sched-latch";
+    cfg.n = 8;
+    cfg.m = 2;
+    cfg.w = 2;
+    cfg.frequency_hz = units::MHz(100);
+    cfg.simd_lanes = 256;
     cfg.sched_policy = SchedPolicy::SoftwareBatch;
-    EXPECT_STREQ(makeSchedulingPolicy(cfg)->name(), "software_batch");
-}
+    workload::DnnModel rnn;
+    rnn.name = "tiny";
+    rnn.kind = workload::DnnModel::Kind::Rnn;
+    rnn.rnn.hidden = 64;
+    rnn.rnn.steps = 4;
+    rnn.rnn.gate_groups = {2};
+    rnn.rnn.simd_passes = 4.0;
+    auto build = [&] {
+        workload::Compiler compiler(cfg);
+        auto accel = std::make_unique<Accelerator>(cfg);
+        accel->installInference(compiler.compileInference(rnn));
+        accel->installTraining(compiler.compileTraining(rnn, 16));
+        return accel;
+    };
 
-TEST(SchedulingPolicyLaziness, PredicatesOnlyPaidWhenConsulted)
-{
-    // The view's predicates are lazy so a policy only pays for the
-    // queue scans it consults; verify the priority policy stops at the
-    // spike check when a spike is on.
-    PriorityPolicy p;
-    int spike_calls = 0, low_calls = 0;
-    SchedulerView v;
-    v.inference_ready = true;
-    v.training_ready = true;
-    v.spike = [&] {
-        ++spike_calls;
-        return true;
-    };
-    v.queue_low = [&] {
-        ++low_calls;
-        return false;
-    };
-    v.pending_work = [] { return std::uint64_t{0}; };
-    auto d = p.decide(v);
-    EXPECT_FALSE(d.allow_training);
-    EXPECT_EQ(spike_calls, 1);
-    EXPECT_EQ(low_calls, 0);
+    auto accel = build();
+    RunSpec spec;
+    spec.warmup_requests = 30;
+    spec.measure_requests = 300;
+    spec.seed = 5;
+    spec.arrival_rate_per_s = 0.05 * accel->maxRequestRate();
+    RunSpec cut = spec;
+    cut.max_sim_s = 5e-3;
+    EXPECT_GT(accel->run(cut).training_iterations, 0u);
+
+    auto after_cut = accel->run(spec);
+    auto fresh = build()->run(spec);
+    EXPECT_GT(fresh.training_iterations, 0u);
+    EXPECT_EQ(resultDigest(after_cut), resultDigest(fresh));
 }
 
 } // namespace
