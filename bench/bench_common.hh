@@ -294,10 +294,14 @@ class Harness
         double eps = wall_s > 0.0
                          ? static_cast<double>(events) / wall_s
                          : 0.0;
-        std::printf("\n[bench] %s: wall %.3f s, %llu events "
-                    "(%.3g events/s), jobs %zu\n", artifact_.c_str(),
-                    wall_s, static_cast<unsigned long long>(events),
-                    eps, args_.jobs);
+        // Host timing and output paths go to stderr, so two builds'
+        // stdout can be compared byte for byte.
+        std::fprintf(stderr,
+                     "\n[bench] %s: wall %.3f s, %llu events "
+                     "(%.3g events/s), jobs %zu\n",
+                     artifact_.c_str(), wall_s,
+                     static_cast<unsigned long long>(events), eps,
+                     args_.jobs);
 
         // Aggregates over the recorded points: the median of the
         // per-point p50s, the worst per-point p99/max (tail metrics
@@ -330,8 +334,8 @@ class Harness
         if (!args_.metrics_path.empty()) {
             metrics_.section("bench") = record;
             if (metrics_.writeTo(args_.metrics_path))
-                std::printf("[bench] metrics snapshot: %s\n",
-                            args_.metrics_path.c_str());
+                std::fprintf(stderr, "[bench] metrics snapshot: %s\n",
+                             args_.metrics_path.c_str());
         }
     }
 
@@ -381,11 +385,11 @@ traceRepresentativeRun(Harness &harness,
     traced.jobs = 1;
     core::runAtLoad(cfg, load, traced);
     if (trace.writeTo(harness.tracePath()))
-        std::printf("\n[bench] trace (%llu events, %s @ load %.2f): "
-                    "%s -- open at https://ui.perfetto.dev\n",
-                    static_cast<unsigned long long>(trace.total()),
-                    cfg.name.c_str(), load,
-                    harness.tracePath().c_str());
+        std::fprintf(stderr,
+                     "\n[bench] trace (%llu events, %s @ load %.2f): "
+                     "%s -- open at https://ui.perfetto.dev\n",
+                     static_cast<unsigned long long>(trace.total()),
+                     cfg.name.c_str(), load, harness.tracePath().c_str());
     if (want_metrics)
         probe.addTo(harness.metrics(), "trace_run", cfg.frequency_hz);
 }

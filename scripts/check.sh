@@ -47,6 +47,14 @@
 #                                # under build/), then diff the two sets
 #                                # of digest lines; fails on any
 #                                # difference
+#   scripts/check.sh --bench-stdout REV # extract REV the same way,
+#                                # build and run overload_resilience,
+#                                # fleet_scaling and cluster_scaling
+#                                # (--jobs=1) in REV and in the working
+#                                # tree, and cmp each bench's stdout;
+#                                # fails on any difference (host timing
+#                                # goes to stderr, so stdout is a pure
+#                                # function of the code)
 #
 # The "resilience" ctest label is a subset of tier1, so the default run
 # (and the asan/tsan presets, via the tier1/parallel labels) already
@@ -133,11 +141,10 @@ print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]
     done
 }
 
-compare_digests() {
-    # Extract REV once into the gitignored build/ tree (keyed by its
-    # commit sha) and run that tree's own perfbench with the same
-    # arguments, so the two digest sets come from the two sources.
-    local sha dir base head
+extract_rev() {
+    # Extract REV once into the gitignored build/ tree, keyed by its
+    # commit sha, and print the directory.
+    local sha dir
     sha=$(git rev-parse --verify "$1^{commit}")
     dir="build/digests-$sha"
     if [ ! -d "$dir" ]; then
@@ -147,7 +154,15 @@ compare_digests() {
         git archive "$sha" | tar -x -C "$dir.tmp"
         mv "$dir.tmp" "$dir"
     fi
-    echo "check.sh: digests of $1 ($sha)"
+    echo "$dir"
+}
+
+compare_digests() {
+    # Run REV's own perfbench with the same arguments as the working
+    # tree's, so the two digest sets come from the two sources.
+    local dir base head
+    dir=$(extract_rev "$1")
+    echo "check.sh: digests of $1 ($dir)"
     base=$(cd "$dir" && run_digests)
     echo "$base"
     echo "check.sh: digests of the working tree"
@@ -158,6 +173,37 @@ compare_digests() {
         return 1
     fi
     echo "check.sh: digests identical to $1"
+}
+
+compare_bench_stdout() {
+    # Build and run the routing benches in REV and in the working tree
+    # (each tree's default preset, so REV builds under its own build/)
+    # and cmp their stdout byte for byte.
+    local benches=(overload_resilience fleet_scaling cluster_scaling)
+    local dir tree bench out="build/bench-stdout"
+    dir=$(extract_rev "$1")
+    mkdir -p "$out/rev" "$out/head"
+    for tree in "$dir" .; do
+        echo "check.sh: bench stdout: build $tree"
+        (cd "$tree" && cmake --preset default >/dev/null &&
+            cmake --build --preset default -j "$(nproc)" \
+                --target "${benches[@]}" >/dev/null)
+    done
+    local bad=0
+    for bench in "${benches[@]}"; do
+        echo "check.sh: bench stdout: $bench"
+        (cd "$dir/build/bench" && "./$bench" --jobs=1) \
+            >"$out/rev/$bench.txt"
+        (cd build/bench && "./$bench" --jobs=1) >"$out/head/$bench.txt"
+        if ! cmp "$out/rev/$bench.txt" "$out/head/$bench.txt"; then
+            echo "check.sh: $bench stdout differs from $1"
+            bad=1
+        fi
+    done
+    if [ "$bad" -ne 0 ]; then
+        return 1
+    fi
+    echo "check.sh: bench stdout identical to $1"
 }
 
 case "${1:-}" in
@@ -200,13 +246,20 @@ case "${1:-}" in
         run_digests
     fi
     ;;
+  --bench-stdout)
+    if [ -z "${2:-}" ]; then
+        echo "usage: scripts/check.sh --bench-stdout REV" >&2
+        exit 2
+    fi
+    compare_bench_stdout "$2"
+    ;;
   "")
     run_format_check
     run_preset default
     ;;
   *)
     echo "usage: scripts/check.sh" \
-         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--digests [REV]|--format]" >&2
+         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--digests [REV]|--bench-stdout REV|--format]" >&2
     exit 2
     ;;
 esac

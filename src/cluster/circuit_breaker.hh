@@ -84,6 +84,13 @@ class CircuitBreaker
      */
     bool allows(Tick t);
 
+    /** allows(@p t) without its Open -> HalfOpen move (shard tier). */
+    bool
+    wouldAllow(Tick t) const
+    {
+        return !cfg_.enabled || state_ != State::Open || t >= open_until_;
+    }
+
     State state() const { return state_; }
 
     /** Closed -> Open trips. */

@@ -71,10 +71,6 @@ ClusterSpec::validate() const
         fleet.autoscaler.min_replicas > replicas)
         errors.push_back(
             "fleet: autoscaler min_replicas exceeds the fleet size");
-    if (fleet.routesHierarchically() && resilience.enabled())
-        errors.push_back(
-            "fleet: sharding/autoscaling cannot compose with the "
-            "resilience control plane yet (pick one)");
     for (const auto &o : chaos.scheduled_outages) {
         if (o.replica != fault::kEveryReplica && o.replica >= replicas)
             errors.push_back("chaos scheduled outage names replica " +
@@ -174,68 +170,57 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
         }
     }
 
-    // Route the global candidate stream. `load` is the offered
-    // fraction of the AGGREGATE capacity, so the stream runs at
-    // per-replica rate x N; bursty mode draws candidates at the peak
-    // rate and the replicas thin them at arrival, mirroring the
-    // single-accelerator generator. An enabled resilience spec swaps
-    // the bare Router for the ControlPlane (admission, retries,
-    // hedging, breakers); disabled specs never construct one, so the
-    // legacy path is bit-for-bit untouched.
+    // Route the global candidate stream through the one routing tier:
+    // a FleetRouter (one shard, deciding exactly like the flat Router,
+    // unless the spec shards the fleet), owned by the ControlPlane
+    // (admission, retries, hedging, breakers) when any resilience
+    // mechanism is on. `load` is the offered fraction of the AGGREGATE
+    // capacity, so the stream runs at per-replica rate x N; bursty
+    // mode draws candidates at the peak rate and the replicas thin
+    // them at arrival, mirroring the single-accelerator generator.
+    // All knobs convert to the cycle domain here; the router never
+    // sees seconds.
     double rate_cycle =
         per_replica_rate * static_cast<double>(n) / f;
     if (spec_.arrival_process == sim::ArrivalProcess::Bursty)
         rate_cycle *= spec_.burst_factor;
-    const bool cp_on = spec_.resilience.enabled();
-    const bool fleet_on = spec_.fleet.routesHierarchically();
-    RouterResult routed;
-    ResilienceStats rstats;
-    double overload_frac = 0.0;
-    // The FleetRouter outlives routing: the training coordinator and
-    // the per-shard/autoscaler reporting below query it.
-    std::optional<FleetRouter> fleet_router;
-    if (cp_on) {
-        ControlPlane cp(spec_.resilience, spec_.policy, n, mu_req / f,
-                        spec_.latency_window, outages);
-        routed = cp.route(rate_cycle, opts.seed, max_ticks, surges);
-        rstats = cp.stats();
-        overload_frac = cp.overloadFraction();
-    } else if (fleet_on) {
-        // Hierarchical path: shard-level policy over per-shard flat
-        // routers, optionally with the SLO autoscaler. All knobs
-        // convert to the cycle domain here; the router never sees
-        // seconds.
-        FleetRouter::Config fc;
-        fc.replica_policy = spec_.policy;
-        fc.shard_policy = spec_.fleet.shard_policy;
-        fc.replicas = n;
-        fc.shards = std::max<std::size_t>(spec_.fleet.shards, 1);
-        fc.service_rate_per_cycle = mu_req / f;
-        fc.latency_window = spec_.latency_window;
-        const AutoscalerSpec &as = spec_.fleet.autoscaler;
-        if (as.enabled) {
-            fc.autoscale = true;
-            fc.min_active = as.min_replicas;
-            fc.max_active = as.max_replicas;
-            fc.initial_active = as.initial_replicas;
-            fc.target_p99_cycles = as.target_p99_s * f;
-            fc.low_watermark = as.low_watermark;
-            fc.target_utilization = as.target_utilization;
-            fc.decision_interval = std::max<Tick>(
-                units::secondsToCycles(as.decision_interval_s, f), 1);
-            fc.cooldown = units::secondsToCycles(as.cooldown_s, f);
-            fc.warmup = units::secondsToCycles(as.warmup_s, f);
-            fc.estimate_window = as.estimate_window;
-            fc.min_samples = as.min_samples;
-        }
-        fleet_router.emplace(fc, outages);
-        routed = fleet_router->route(rate_cycle, opts.seed, max_ticks,
-                                     surges);
-    } else {
-        Router router(spec_.policy, n, mu_req / f, spec_.latency_window,
-                      outages);
-        routed = router.route(rate_cycle, opts.seed, max_ticks, surges);
+    FleetRouter::Config fc;
+    fc.replica_policy = spec_.policy;
+    fc.shard_policy = spec_.fleet.shard_policy;
+    fc.replicas = n;
+    fc.shards = std::max<std::size_t>(spec_.fleet.shards, 1);
+    fc.service_rate_per_cycle = mu_req / f;
+    fc.latency_window = spec_.latency_window;
+    const AutoscalerSpec &as = spec_.fleet.autoscaler;
+    if (as.enabled) {
+        fc.autoscale = true;
+        fc.min_active = as.min_replicas;
+        fc.max_active = as.max_replicas;
+        fc.initial_active = as.initial_replicas;
+        fc.target_p99_cycles = as.target_p99_s * f;
+        fc.low_watermark = as.low_watermark;
+        fc.target_utilization = as.target_utilization;
+        fc.decision_interval = std::max<Tick>(
+            units::secondsToCycles(as.decision_interval_s, f), 1);
+        fc.cooldown = units::secondsToCycles(as.cooldown_s, f);
+        fc.warmup = units::secondsToCycles(as.warmup_s, f);
+        fc.estimate_window = as.estimate_window;
+        fc.min_samples = as.min_samples;
     }
+    // The router outlives routing: the training coordinator and the
+    // per-shard/autoscaler reporting below query it.
+    const bool cp_on = spec_.resilience.enabled();
+    std::optional<ControlPlane> cp;
+    std::optional<FleetRouter> bare;
+    if (cp_on)
+        cp.emplace(spec_.resilience, fc, outages);
+    else
+        bare.emplace(fc, outages);
+    const FleetRouter &router = cp_on ? cp->fleet() : *bare;
+    RouterResult routed =
+        cp_on ? cp->route(rate_cycle, opts.seed, max_ticks, surges)
+              : bare->route(rate_cycle, opts.seed, max_ticks, surges);
+    ResilienceStats rstats = cp_on ? cp->stats() : ResilienceStats{};
 
     // Training coordinator: place the piggybacked training service on
     // the replicas the router loaded least -- most free cycles, the
@@ -253,21 +238,20 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
         if (cp_on && spec_.resilience.shed_training_under_overload) {
             auto shed = std::min(
                 k, static_cast<std::size_t>(std::floor(
-                       overload_frac * static_cast<double>(k))));
+                       cp->overloadFraction() * static_cast<double>(k))));
             rstats.training_replicas_shed = shed;
             k -= shed;
         }
         std::vector<std::size_t> order(n);
         std::iota(order.begin(), order.end(), std::size_t{0});
-        if (fleet_router && spec_.fleet.autoscaler.enabled) {
+        if (as.enabled) {
             // Replicas the autoscaler never powered run no traffic;
             // placing training there would model training on machines
             // that do not exist. Restrict the coordinator to the
             // ever-provisioned set.
             order.erase(std::remove_if(order.begin(), order.end(),
                                        [&](std::size_t r) {
-                                           return !fleet_router
-                                                       ->everActive(r);
+                                           return !router.everActive(r);
                                        }),
                         order.end());
             k = std::min(k, order.size());
@@ -426,16 +410,16 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
     // index order -- the same order the fleet-level merge above walked,
     // so shard-tracker merging reproduces the fleet percentiles
     // bitwise -- plus the autoscaler's decision accounting.
-    if (fleet_router) {
-        res.shards = fleet_router->shardCount();
+    if (spec_.fleet.routesHierarchically()) {
+        res.shards = router.shardCount();
         res.shard_policy = spec_.fleet.shard_policy;
-        res.shard_rerouted = fleet_router->shardRerouted();
+        res.shard_rerouted = router.shardRerouted();
         res.per_shard.resize(res.shards);
         for (std::size_t s = 0; s < res.shards; ++s) {
             ShardOutcome &sh = res.per_shard[s];
             sh.shard = s;
-            sh.first_replica = fleet_router->shardBase(s);
-            sh.replicas = fleet_router->shardSize(s);
+            sh.first_replica = router.shardBase(s);
+            sh.replicas = router.shardSize(s);
             for (std::size_t r = sh.first_replica;
                  r < sh.first_replica + sh.replicas; ++r) {
                 sh.assigned_candidates += out[r].assigned_candidates;
@@ -447,9 +431,9 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
                 sh.p99_latency_s =
                     sh.merged_latency_cycles.percentile(0.99) * inv_f;
         }
-        res.autoscaled = spec_.fleet.autoscaler.enabled;
+        res.autoscaled = as.enabled;
         if (res.autoscaled)
-            res.autoscaler = fleet_router->autoscalerStats();
+            res.autoscaler = router.autoscalerStats();
     }
     res.per_replica = std::move(out);
     return res;

@@ -1,16 +1,18 @@
 /**
  * @file
- * Cluster: N independent Accelerator replicas behind a Router.
+ * Cluster: N independent Accelerator replicas behind one routing tier.
  *
  * Models the fleet deployment the paper's single-chip evaluation stops
- * short of: a front-end splits one global Poisson/bursty arrival
- * stream across replicas by routing policy, each replica simulates
- * independently (own SimContext, seed, and fault plan -- so replicas
- * can fan out one-per-worker), and the results merge deterministically
- * in replica order with exact percentile merging over the concatenated
- * latency samples. A cluster-wide training coordinator steers the
- * piggybacked training work to the replicas the router loaded least --
- * the paper's "training for free" invariant at fleet scale.
+ * short of: a front-end (a FleetRouter, owned by the ControlPlane when
+ * a resilience mechanism is on) splits one global Poisson/bursty
+ * arrival stream across replicas by routing policy, each replica
+ * simulates independently (own SimContext, seed, and fault plan -- so
+ * replicas can fan out one-per-worker), and the results merge
+ * deterministically in replica order with exact percentile merging
+ * over the concatenated latency samples. A cluster-wide training
+ * coordinator steers the piggybacked training work to the replicas the
+ * router loaded least -- the paper's "training for free" invariant at
+ * fleet scale.
  *
  * Determinism rules (DESIGN.md section 2.4): routing is causal on
  * router-side state only, replicas never feed back into routing, and
@@ -77,7 +79,7 @@ struct ClusterSpec
     /**
      * Overload-resilience control plane (admission, retries, hedging,
      * breakers). Default-constructed = disabled: the run never builds
-     * a ControlPlane and routes exactly as before.
+     * a ControlPlane and routes through the bare FleetRouter.
      */
     ResilienceSpec resilience;
     /**
@@ -89,9 +91,9 @@ struct ClusterSpec
     /**
      * Fleet-scale serving: hierarchical sharded routing, SLO-aware
      * autoscaling, and traffic mixes. Default-constructed = off: the
-     * run routes through the flat Router exactly as before. Sharding
-     * and autoscaling cannot yet compose with the resilience control
-     * plane (validate() rejects the combination).
+     * run routes through one shard, deciding exactly like the flat
+     * Router. Every fleet mechanism composes with the resilience
+     * control plane.
      */
     FleetSpec fleet;
 
@@ -212,7 +214,7 @@ struct ClusterPointResult
     std::vector<ReplicaOutcome> per_replica;
 };
 
-/** N Accelerator replicas behind a Router. */
+/** N Accelerator replicas behind one routing tier. */
 class Cluster
 {
   public:

@@ -136,25 +136,34 @@ ResilienceSpec::validate() const
 }
 
 ControlPlane::ControlPlane(const ResilienceSpec &spec,
+                           const FleetRouter::Config &cfg,
+                           std::vector<RouterOutage> outages)
+    : spec_(spec), replicas_(cfg.replicas),
+      fleet_(cfg, std::move(outages)),
+      admission_(spec.admission, spec.admission.rate_factor *
+                                     static_cast<double>(cfg.replicas) *
+                                     cfg.service_rate_per_cycle)
+{
+    if (spec_.breaker.enabled) {
+        breakers_.reserve(replicas_);
+        for (std::size_t r = 0; r < replicas_; ++r)
+            breakers_.emplace_back(spec_.breaker);
+        fleet_.setBreakers(&breakers_);
+    }
+}
+
+ControlPlane::ControlPlane(const ResilienceSpec &spec,
                            RoutingPolicy policy, std::size_t replicas,
                            double service_rate_per_cycle,
                            std::size_t latency_window,
                            std::vector<RouterOutage> outages)
-    : spec_(spec), replicas_(replicas),
-      router_(policy, replicas, service_rate_per_cycle, latency_window,
-              std::move(outages)),
-      admission_(spec.admission, spec.admission.rate_factor *
-                                     static_cast<double>(replicas) *
-                                     service_rate_per_cycle)
+    : ControlPlane(spec,
+                   {.replica_policy = policy,
+                    .replicas = replicas,
+                    .service_rate_per_cycle = service_rate_per_cycle,
+                    .latency_window = latency_window},
+                   std::move(outages))
 {
-    if (spec_.breaker.enabled) {
-        breakers_.reserve(replicas);
-        for (std::size_t r = 0; r < replicas; ++r)
-            breakers_.emplace_back(spec_.breaker);
-        router_.setAvailabilityFilter([this](std::size_t r, Tick t) {
-            return breakers_[r].allows(t);
-        });
-    }
 }
 
 void
@@ -164,9 +173,9 @@ ControlPlane::observeHealth(Tick t)
     // itself to probe_interval_cycles. Health is causal: the outage
     // calendar plus the replica's own window-p99 estimate.
     for (std::size_t r = 0; r < replicas_; ++r) {
-        bool healthy = router_.alive(r, t);
+        bool healthy = fleet_.alive(r, t);
         if (healthy && spec_.breaker.latency_trip_cycles > 0.0) {
-            healthy = router_.estimators()[r].windowP99() <=
+            healthy = fleet_.estimator(r).windowP99() <=
                       spec_.breaker.latency_trip_cycles;
         }
         breakers_[r].observe(t, healthy);
@@ -194,6 +203,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
     std::vector<Tick> ticks =
         generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
     res.generated = ticks.size();
+    fleet_.beginRoute(max_ticks);
 
     Rng priority_rng(seed * kPriorityStream + 7);
     Rng jitter_rng(seed * kJitterStream + 11);
@@ -238,12 +248,12 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
         }
         const Tick t = ev.t;
 
-        router_.drainAll(t);
+        fleet_.drainAll(t);
         if (spec_.breaker.enabled)
             observeHealth(t);
 
         if (ev.attempt == 0) {
-            double mean_backlog = router_.meanBacklog();
+            double mean_backlog = fleet_.meanBacklog();
             if (mean_backlog > spec_.training_shed_backlog)
                 ++stats_.overload_candidates;
             if (!admission_.offer(t, ev.background, mean_backlog)) {
@@ -252,15 +262,16 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
             }
         }
 
-        std::size_t r = router_.pick(t);
+        std::size_t r = fleet_.pick(t);
         if (r == kNoReplica) {
             // No replica available. Distinguish "breakers vetoed an
-            // otherwise-alive fleet" for the accounting, then spend a
-            // retry token if the budget and attempt cap allow.
+            // otherwise-alive provisioned fleet" for the accounting,
+            // then spend a retry token if the budget and attempt cap
+            // allow.
             if (spec_.breaker.enabled) {
                 bool any_alive = false;
                 for (std::size_t i = 0; i < replicas_ && !any_alive; ++i)
-                    any_alive = router_.alive(i, t);
+                    any_alive = fleet_.alive(i, t) && fleet_.routable(i, t);
                 if (any_alive)
                     ++stats_.breaker_denials;
             }
@@ -308,8 +319,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
         retry_tokens = std::min(spec_.retry.max_budget,
                                 retry_tokens + spec_.retry.budget_ratio);
 
-        double est =
-            router_.estimators()[r].lastAssignmentEstimateCycles();
+        double est = fleet_.estimator(r).lastAssignmentEstimateCycles();
         admission_.noteDispatch(est);
 
         if (spec_.hedge.enabled) {
@@ -324,9 +334,9 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                 hedge_window.size() >= spec_.hedge.min_samples &&
                 est > spec_.hedge.latency_factor *
                           hedge_window.percentile(0.99)) {
-                std::size_t alt = router_.pickAlternate(t, r);
+                std::size_t alt = fleet_.pickAlternate(t, r);
                 if (alt != kNoReplica) {
-                    router_.assignTo(alt, t);
+                    fleet_.assignTo(alt, t);
                     res.traces[alt].push_back(t);
                     ++res.assigned[alt];
                     ++stats_.hedges_issued;
@@ -334,8 +344,8 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                     // predicted faster wins; the loser is accounted
                     // cancelled but still occupies its replica (the
                     // honest capacity cost of hedging).
-                    double est_alt = router_.estimators()[alt]
-                                         .lastAssignmentEstimateCycles();
+                    double est_alt =
+                        fleet_.estimator(alt).lastAssignmentEstimateCycles();
                     if (est_alt < est)
                         ++stats_.hedge_wins;
                 }
@@ -344,6 +354,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
         }
     }
 
+    fleet_.finishRoute(max_ticks);
     for (const auto &b : breakers_) {
         stats_.breaker_opens += b.opens();
         stats_.breaker_reopens += b.reopens();
@@ -351,7 +362,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
     }
     stats_.admission = admission_.stats();
     res.shed = stats_.totalShed();
-    res.rerouted = router_.reroutedCount();
+    res.rerouted = fleet_.reroutedCount();
     return res;
 }
 

@@ -2,8 +2,9 @@
  * @file
  * The overload-resilience control plane of the cluster front-end.
  *
- * Sits between the arrival generator and the Router and layers four
- * mechanisms over plain routing (DESIGN.md section 2.5):
+ * Sits between the arrival generator and the routing tier -- a
+ * FleetRouter it owns, with one shard for a flat fleet -- and layers
+ * four mechanisms over plain routing (DESIGN.md section 2.5):
  *
  *   admission -> routing -> hedging -> circuit breaking
  *
@@ -14,12 +15,14 @@
  *     bounded by a token budget refilled by successful dispatches.
  *   - A hedging layer duplicates a dispatch whose latency estimate
  *     exceeds latency_factor x the sliding-window p99 of recent
- *     estimates, onto the best alternate replica; first-wins
- *     cancellation is accounted against the router's causal model
- *     (the predicted-faster copy "wins"), while both copies occupy
- *     real replica capacity -- the honest cost of hedging.
+ *     estimates, onto the best alternate replica in the primary's
+ *     shard; first-wins cancellation is accounted against the
+ *     router's causal model (the predicted-faster copy "wins"), while
+ *     both copies occupy real replica capacity -- the honest cost of
+ *     hedging.
  *   - Per-replica CircuitBreakers veto routing to replicas whose
- *     health probes (outage state + window-p99 latency) keep failing.
+ *     health probes (outage state + window-p99 latency) keep failing;
+ *     the FleetRouter composes the veto with its autoscaler's.
  *
  * Determinism: candidates, priority tags, retry jitter, and chaos all
  * draw from separate seeded Rng streams; fresh candidates and backed-off
@@ -39,6 +42,7 @@
 
 #include "cluster/admission.hh"
 #include "cluster/circuit_breaker.hh"
+#include "cluster/fleet.hh"
 #include "cluster/router.hh"
 
 namespace equinox
@@ -124,7 +128,8 @@ struct ResilienceStats
     std::uint64_t retry_budget_exhausted = 0;
     /** Candidates shed with no replica available and no retry left. */
     std::uint64_t outage_shed = 0;
-    /** Picks that failed although an outage-alive replica existed. */
+    /** Picks that failed although an outage-alive, provisioned
+     *  replica existed. */
     std::uint64_t breaker_denials = 0;
 
     std::uint64_t hedges_issued = 0;
@@ -154,17 +159,21 @@ struct ResilienceStats
     }
 };
 
-/** Admission + retries + hedging + breakers around one Router. */
+/** Admission + retries + hedging + breakers around one FleetRouter. */
 class ControlPlane
 {
   public:
     /**
      * @param spec validated resilience knobs
-     * @param policy,replicas,service_rate_per_cycle,latency_window,
-     *        outages forwarded to the underlying Router; the token
+     * @param cfg,outages forwarded to the owned FleetRouter; the token
      *        bucket refills at
      *        admission.rate_factor x replicas x service rate
      */
+    ControlPlane(const ResilienceSpec &spec,
+                 const FleetRouter::Config &cfg,
+                 std::vector<RouterOutage> outages);
+
+    /** Over a flat fleet: one shard of @p replicas. */
     ControlPlane(const ResilienceSpec &spec, RoutingPolicy policy,
                  std::size_t replicas, double service_rate_per_cycle,
                  std::size_t latency_window,
@@ -184,21 +193,18 @@ class ControlPlane
 
     const ResilienceStats &stats() const { return stats_; }
 
+    /** The routing tier (shard layout, autoscaler, provisioning). */
+    const FleetRouter &fleet() const { return fleet_; }
+
     /** Fraction of candidates that arrived during fleet overload. */
     double overloadFraction() const;
-
-    /** Breaker of replica @p r (tests; empty unless enabled). */
-    const CircuitBreaker &breaker(std::size_t r) const
-    {
-        return breakers_[r];
-    }
 
   private:
     void observeHealth(Tick t);
 
     ResilienceSpec spec_;
     std::size_t replicas_;
-    Router router_;
+    FleetRouter fleet_;
     AdmissionController admission_;
     std::vector<CircuitBreaker> breakers_;
     ResilienceStats stats_;

@@ -142,16 +142,23 @@ FleetRouter::FleetRouter(const Config &cfg,
         stats_.min_active = initial;
         stats_.max_active = initial;
         stats_.final_active = initial;
-        // The routability veto rides the same filter hook the control
-        // plane's breakers use: inner picks skip deactivated and
-        // still-warming replicas exactly like dead ones.
-        for (std::size_t s = 0; s < shards_; ++s) {
-            std::size_t b = base_[s];
-            inner_[s].setAvailabilityFilter(
-                [this, b](std::size_t local_r, Tick t) {
-                    return routable(b + local_r, t);
-                });
-        }
+        setBreakers(nullptr); // installs the routability veto
+    }
+}
+
+void
+FleetRouter::setBreakers(std::vector<CircuitBreaker> *breakers)
+{
+    // One replica-tier veto: the autoscaler first, so only a replica
+    // it would route to can move its breaker from Open to HalfOpen.
+    breakers_ = breakers;
+    for (std::size_t s = 0; s < shards_; ++s) {
+        std::size_t b = base_[s];
+        inner_[s].setAvailabilityFilter(
+            [this, b](std::size_t local_r, Tick t) {
+                return routable(b + local_r, t) &&
+                       (!breakers_ || (*breakers_)[b + local_r].allows(t));
+            });
     }
 }
 
@@ -172,7 +179,7 @@ FleetRouter::shardOf(std::size_t replica) const
 bool
 FleetRouter::routable(std::size_t replica, Tick t) const
 {
-    return routable_from_[replica] <= t;
+    return !cfg_.autoscale || routable_from_[replica] <= t;
 }
 
 bool
@@ -191,13 +198,19 @@ FleetRouter::shardAvailable(std::size_t s, Tick t) const
     // (activations always append to the provisioned prefix with later
     // timestamps), so the shard's FIRST replica decides whether ANY
     // member is routable -- an O(1) gate in front of the O(shard)
-    // outage scan, which only runs for shards that have outages at
-    // all.
-    if (cfg_.autoscale && !routable(base_[s], t))
+    // member scan, which only runs for shards that have outages or
+    // breakers. The scan asks breakers wouldAllow(), never allows():
+    // ranking shards must not move a breaker to HalfOpen.
+    if (!routable(base_[s], t))
         return false;
-    if (!shard_has_outage_[s])
+    if (!shard_has_outage_[s] && !breakers_)
         return true;
-    return inner_[s].anyAvailable(t);
+    for (std::size_t r = base_[s]; r < base_[s + 1]; ++r) {
+        if (inner_[s].alive(r - base_[s], t) && routable(r, t) &&
+            (!breakers_ || (*breakers_)[r].wouldAllow(t)))
+            return true;
+    }
+    return false;
 }
 
 std::size_t
@@ -205,24 +218,28 @@ FleetRouter::pick(Tick t)
 {
     if (cfg_.autoscale)
         onCandidate(t);
-    for (auto &e : shard_est_)
-        e.drainTo(t);
-
-    RankedPick rp = rankReplicas(
-        cfg_.shard_policy, shard_est_, shard_rr_,
-        [&](std::size_t s) { return shardAvailable(s, t); });
-    shard_rr_ = rp.cursor;
-    if (rp.rerouted())
-        ++shard_rerouted_;
-    // No shard has an available replica: the candidate still goes to
-    // the blind choice so THAT inner router sheds it (and advances its
-    // own rotation) -- with one shard exactly the flat router's shed
-    // path, which the byte-identity lemma requires.
-    std::size_t s = rp.pick != kNoReplica ? rp.pick : rp.blind;
+    // One shard skips the shard tier, so its inner router sees the
+    // flat router's exact call sequence (the identity lemma).
+    std::size_t s = 0;
+    if (shards_ > 1) {
+        for (auto &e : shard_est_)
+            e.drainTo(t);
+        RankedPick rp = rankReplicas(
+            cfg_.shard_policy, shard_est_, shard_rr_,
+            [&](std::size_t i) { return shardAvailable(i, t); });
+        shard_rr_ = rp.cursor;
+        if (rp.rerouted())
+            ++shard_rerouted_;
+        // No shard has an available replica: the candidate still goes
+        // to the blind choice so THAT inner router sheds it (and
+        // advances its own rotation).
+        s = rp.pick != kNoReplica ? rp.pick : rp.blind;
+    }
     std::size_t local = inner_[s].pick(t);
     if (local == kNoReplica)
         return kNoReplica; // the inner router counted the shed
-    shard_est_[s].assign(t);
+    if (shards_ > 1)
+        shard_est_[s].assign(t);
 
     if (cfg_.autoscale) {
         // Feedback signal: the model latency the just-assigned request
@@ -232,6 +249,50 @@ FleetRouter::pick(Tick t)
                             .lastAssignmentEstimateCycles());
     }
     return base_[s] + local;
+}
+
+std::size_t
+FleetRouter::pickAlternate(Tick t, std::size_t exclude) const
+{
+    std::size_t s = shardOf(exclude);
+    std::size_t alt = inner_[s].pickAlternate(t, exclude - base_[s]);
+    return alt == kNoReplica ? kNoReplica : base_[s] + alt;
+}
+
+void
+FleetRouter::assignTo(std::size_t r, Tick t)
+{
+    std::size_t s = shardOf(r);
+    inner_[s].assignTo(r - base_[s], t);
+    if (shards_ > 1)
+        shard_est_[s].assign(t); // the hedge copy loads its shard too
+}
+
+void
+FleetRouter::drainAll(Tick t)
+{
+    for (auto &r : inner_)
+        r.drainAll(t);
+}
+
+double
+FleetRouter::meanBacklog() const
+{
+    double sum = 0.0;
+    for (const auto &r : inner_)
+        for (const auto &e : r.estimators())
+            sum += e.backlog();
+    std::size_t n = cfg_.autoscale ? provisioned_ : cfg_.replicas;
+    return sum / static_cast<double>(n);
+}
+
+std::uint64_t
+FleetRouter::reroutedCount() const
+{
+    std::uint64_t n = shard_rerouted_;
+    for (const auto &r : inner_)
+        n += r.reroutedCount();
+    return n;
 }
 
 void
@@ -364,17 +425,15 @@ RouterResult
 FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
                    Tick max_ticks, const std::vector<RouterSurge> &surges)
 {
-    horizon_ = max_ticks;
+    beginRoute(max_ticks);
     RouterResult res =
         routeCandidates(cfg_.replicas, rate_per_cycle, seed, max_ticks,
                         surges, [this](Tick t) { return pick(t); });
     finishRoute(max_ticks);
 
-    for (const auto &r : inner_) {
+    for (const auto &r : inner_)
         res.shed += r.shedCount();
-        res.rerouted += r.reroutedCount();
-    }
-    res.rerouted += shard_rerouted_;
+    res.rerouted = reroutedCount();
     return res;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet layer: hierarchical sharded routing and SLO-aware autoscaling
- * on top of the flat Router.
+ * on top of the flat Router; every cluster run routes through it.
  *
  * At O(1024) replicas the flat router's per-candidate O(N) scans and
  * its single rotation/argmin become both a simulation cost and a
@@ -13,13 +13,15 @@
  * routine the inner routers use, then the shard's inner Router picks
  * the replica -- O(S + N/S) per candidate instead of O(N).
  *
- * Identity lemma (tests/test_fleet_differential.cc): with 1 shard,
- * every pick delegates to the single inner Router with the exact call
- * sequence of the flat path -- including the shed path, where the
- * chosen shard's inner pick still runs so its round-robin cursor
- * advances exactly like the flat router's -- so a 1-shard fleet is
- * byte-identical to the flat Router under every policy, outage plan,
- * and traffic shape.
+ * Identity lemma (tests/test_fleet_differential.cc): with 1 shard the
+ * shard tier is skipped and every pick calls the single inner Router
+ * with the exact call sequence of the flat path -- shed path included
+ * -- so a 1-shard fleet is byte-identical to the flat Router under
+ * every policy, outage plan, and traffic shape.
+ *
+ * A ControlPlane owns its FleetRouter and reaches replicas through the
+ * global-index forwarders below; its breakers veto on the replica tier
+ * only (the shard tier reads them without side effects).
  *
  * The autoscaler is causal like every routing decision: it reads only
  * the router-side estimate stream and its own candidate counts, never
@@ -41,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/circuit_breaker.hh"
 #include "cluster/router.hh"
 #include "cluster/routing_policy.hh"
 #include "common/types.hh"
@@ -118,9 +121,10 @@ struct AutoscalerStats
 struct FleetSpec
 {
     /**
-     * Shard count for the hierarchical router; 0 keeps the flat
-     * Router (the fleet layer constructs nothing). Shards partition
-     * the replicas contiguously and balanced (sizes differ by <= 1).
+     * Shard count of the routing tier; 0 routes through one shard,
+     * which decides exactly like the flat Router, and reports no shard
+     * tier. Shards partition the replicas contiguously and balanced
+     * (sizes differ by <= 1).
      */
     std::size_t shards = 0;
     /** Policy of the shard tier (replica tier uses ClusterSpec's). */
@@ -129,13 +133,7 @@ struct FleetSpec
     /** Diurnal / flash-crowd / multi-tenant arrival shaping. */
     fault::TrafficMix traffic;
 
-    /** True when any fleet mechanism is configured. */
-    bool
-    enabled() const
-    {
-        return shards > 0 || autoscaler.enabled || traffic.enabled();
-    }
-    /** True when routing must go through the FleetRouter. */
+    /** True when the run reports the shard tier and autoscaler. */
     bool
     routesHierarchically() const
     {
@@ -177,6 +175,8 @@ class FleetRouter
     };
 
     FleetRouter(const Config &cfg, std::vector<RouterOutage> outages);
+    FleetRouter(const FleetRouter &) = delete; //!< filters hold `this`
+    FleetRouter &operator=(const FleetRouter &) = delete;
 
     /** Route the global candidate stream; same contract as
      *  Router::route, with global replica indices in the result. */
@@ -191,12 +191,41 @@ class FleetRouter
      */
     std::size_t pick(Tick t);
 
+    /** Bound autoscaler counting and decisions (route() calls it). */
+    void beginRoute(Tick max_ticks) { horizon_ = max_ticks; }
+
     /**
      * Close the autoscaler's interval accounting at the run horizon.
      * route() calls this; standalone pick() users call it once at the
      * end (idempotent per horizon).
      */
     void finishRoute(Tick max_ticks);
+
+    /** Veto replicas by breaker (one per replica, outliving this);
+     *  null leaves only outages and the autoscaler. */
+    void setBreakers(std::vector<CircuitBreaker> *breakers);
+
+    // -- global-index forwarders to the owning shard's inner Router ---
+    bool
+    alive(std::size_t r, Tick t) const
+    {
+        return innerOf(r).alive(localOf(r), t);
+    }
+    const ReplicaEstimator &
+    estimator(std::size_t r) const
+    {
+        return innerOf(r).estimators()[localOf(r)];
+    }
+    /** Provisioned and warm (always true without the autoscaler). */
+    bool routable(std::size_t replica, Tick t) const;
+    /** Hedge alternate within @p exclude's shard (no assign). */
+    std::size_t pickAlternate(Tick t, std::size_t exclude) const;
+    void assignTo(std::size_t r, Tick t);
+    void drainAll(Tick t);
+    /** Mean backlog per provisioned replica (after drainAll). */
+    double meanBacklog() const;
+    /** Replica-tier plus shard-tier re-routes. */
+    std::uint64_t reroutedCount() const;
 
     std::size_t shardCount() const { return shards_; }
     std::size_t shardOf(std::size_t replica) const;
@@ -218,8 +247,15 @@ class FleetRouter
     const AutoscalerStats &autoscalerStats() const { return stats_; }
 
   private:
+    /** shardOf() without the call on the one-shard fast path. */
+    std::size_t
+    ownerOf(std::size_t r) const
+    {
+        return shards_ == 1 ? 0 : shardOf(r);
+    }
+    const Router &innerOf(std::size_t r) const { return inner_[ownerOf(r)]; }
+    std::size_t localOf(std::size_t r) const { return r - base_[ownerOf(r)]; }
     bool shardAvailable(std::size_t s, Tick t) const;
-    bool routable(std::size_t replica, Tick t) const;
     void onCandidate(Tick t);
     /** Feed-forward plan of the interval just closed (@p len ticks
      *  long), with its provisioned/needed integrals accounted. */
@@ -237,6 +273,7 @@ class FleetRouter
     std::vector<char> shard_has_outage_;
     std::size_t shard_rr_ = 0;
     std::uint64_t shard_rerouted_ = 0;
+    std::vector<CircuitBreaker> *breakers_ = nullptr; //!< null = none
 
     // -- autoscaler state (untouched when cfg_.autoscale is false) ----
     /** First tick replica r serves; kNeverTick = not provisioned. */

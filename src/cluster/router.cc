@@ -88,30 +88,11 @@ Router::available(std::size_t replica, Tick t) const
     return alive(replica, t) && (!filter_ || filter_(replica, t));
 }
 
-bool
-Router::anyAvailable(Tick t) const
-{
-    for (std::size_t r = 0; r < replicas_; ++r) {
-        if (available(r, t))
-            return true;
-    }
-    return false;
-}
-
 void
 Router::drainAll(Tick t)
 {
     for (auto &e : estimators_)
         e.drainTo(t);
-}
-
-double
-Router::meanBacklog() const
-{
-    double sum = 0.0;
-    for (const auto &e : estimators_)
-        sum += e.backlog();
-    return sum / static_cast<double>(replicas_);
 }
 
 std::size_t

@@ -222,17 +222,11 @@ class Router
     bool alive(std::size_t replica, Tick t) const;
 
     /**
-     * True when at least one replica is available (alive AND not
-     * vetoed by the availability filter) at @p t. The fleet tier's
-     * shard-availability check reads this for shards with outages.
-     */
-    bool anyAvailable(Tick t) const;
-
-    /**
-     * Install a health veto consulted on top of the outage windows
-     * (the control plane's circuit breakers). A vetoed replica is
-     * skipped by pick() exactly like a dead one; alive() itself stays
-     * outage-only so health checks observe the raw outage state.
+     * Install a veto consulted on top of the outage windows (the
+     * FleetRouter's autoscaler and circuit-breaker filter). A vetoed
+     * replica is skipped by pick() exactly like a dead one; alive()
+     * itself stays outage-only so health checks observe the raw
+     * outage state.
      */
     void
     setAvailabilityFilter(std::function<bool(std::size_t, Tick)> filter)
@@ -242,9 +236,6 @@ class Router
 
     /** Advance every estimator's fluid drain to @p t. */
     void drainAll(Tick t);
-
-    /** Mean estimated backlog across replicas (after drainAll). */
-    double meanBacklog() const;
 
     /**
      * The best available replica other than @p exclude by the policy

@@ -1,5 +1,6 @@
 #include "sim/config.hh"
 
+#include <cmath>
 #include <sstream>
 
 namespace equinox
@@ -60,8 +61,9 @@ AcceleratorConfig::validate() const
             " w=", w, "); the paper's design points use n in [64, 256], "
             "m in [1, 8], w in [1, 8]");
     }
-    if (!(frequency_hz > 0.0)) {
-        bad("frequency_hz", "clock must be positive (got ", frequency_hz,
+    if (!(frequency_hz > 0.0) || !std::isfinite(frequency_hz)) {
+        bad("frequency_hz", "clock must be finite and positive (got ",
+            frequency_hz,
             "); e.g. units::MHz(610) for the Equinox_500us design");
     }
     if (act_buffer_bytes == 0 || weight_buffer_bytes == 0) {
@@ -83,10 +85,10 @@ AcceleratorConfig::validate() const
             "[0, 1) of the activation+weight buffers (got ",
             train_staging_frac, "); the paper carves out <2% (0.02)");
     }
-    if (!(batch_timeout_mult > 0.0) &&
+    if ((!(batch_timeout_mult > 0.0) || !std::isfinite(batch_timeout_mult)) &&
         batch_policy == BatchPolicy::Adaptive) {
-        bad("batch_timeout_mult", "adaptive batching needs a positive "
-            "timeout multiple of the service time (got ",
+        bad("batch_timeout_mult", "adaptive batching needs a finite, "
+            "positive timeout multiple of the service time (got ",
             batch_timeout_mult, "); use BatchPolicy::Static to always "
             "wait for full batches instead");
     }
@@ -97,23 +99,29 @@ AcceleratorConfig::validate() const
             "freeze training permanently -- use SchedPolicy::"
             "InferenceOnly if that is the intent");
     }
-    if (!(software_turnaround_s >= 0.0)) {
+    // An infinite turnaround would stop SoftwareBatch training after
+    // its first issue; the other times and rates reach cycle casts.
+    if (!(software_turnaround_s >= 0.0) ||
+        !std::isfinite(software_turnaround_s)) {
         bad("software_turnaround_s", "software-scheduler turnaround "
-            "cannot be negative (got ", software_turnaround_s, ")");
+            "must be finite and >= 0 (got ", software_turnaround_s, ")");
     }
-    if (!(dram.bandwidth_bytes_per_s > 0.0)) {
+    if (!(dram.bandwidth_bytes_per_s > 0.0) ||
+        !std::isfinite(dram.bandwidth_bytes_per_s)) {
         bad("dram.bandwidth_bytes_per_s", "DRAM bandwidth must be "
-            "positive (got ", dram.bandwidth_bytes_per_s,
+            "finite and positive (got ", dram.bandwidth_bytes_per_s,
             "); e.g. 1e12 for an HBM2 stack");
     }
-    if (!(host.bandwidth_bytes_per_s > 0.0)) {
+    if (!(host.bandwidth_bytes_per_s > 0.0) ||
+        !std::isfinite(host.bandwidth_bytes_per_s)) {
         bad("host.bandwidth_bytes_per_s", "host-link bandwidth must be "
-            "positive (got ", host.bandwidth_bytes_per_s,
+            "finite and positive (got ", host.bandwidth_bytes_per_s,
             "); e.g. 32e9 for PCIe gen4 x16");
     }
-    if (!(dram.latency_s >= 0.0 && host.latency_s >= 0.0)) {
+    if (!(dram.latency_s >= 0.0 && host.latency_s >= 0.0) ||
+        !std::isfinite(dram.latency_s) || !std::isfinite(host.latency_s)) {
         bad("dram.latency_s/host.latency_s",
-            "interface latencies must be >= 0");
+            "interface latencies must be finite and >= 0");
     }
     for (const auto &me : mem.validate())
         errors.push_back({"mem." + me.field, me.message});

@@ -513,8 +513,10 @@ TEST(AcceleratorConfig, ValidateNamesTheOffendingField)
 
 TEST(AcceleratorConfig, RejectsNanInEveryBound)
 {
-    // NaN fails every bound instead of slipping past `x < 0`: a NaN
-    // clock or bandwidth would otherwise reach cycle conversions.
+    // NaN and +-inf fail every bound instead of slipping past
+    // `x < 0`: a non-finite clock or bandwidth would otherwise reach
+    // cycle conversions, and an infinite software turnaround would
+    // stop SoftwareBatch training after its first issue.
     struct Knob
     {
         const char *field; //!< substring the error's field must contain
@@ -539,16 +541,23 @@ TEST(AcceleratorConfig, RejectsNanInEveryBound)
         {"dram.latency_s", [](Cfg &c, double v) { c.dram.latency_s = v; }},
         {"host.latency_s", [](Cfg &c, double v) { c.host.latency_s = v; }},
     };
+    const double bad_values[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+    };
     for (const auto &k : knobs) {
-        auto bad = smallConfig();
-        k.set(bad, std::numeric_limits<double>::quiet_NaN());
-        auto errors = bad.validate();
-        EXPECT_TRUE(std::any_of(errors.begin(), errors.end(),
-                                [&k](const sim::ConfigError &e) {
-                                    return e.field.find(k.field) !=
-                                           std::string::npos;
-                                }))
-            << k.field;
+        for (double v : bad_values) {
+            auto bad = smallConfig();
+            k.set(bad, v);
+            auto errors = bad.validate();
+            EXPECT_TRUE(std::any_of(errors.begin(), errors.end(),
+                                    [&k](const sim::ConfigError &e) {
+                                        return e.field.find(k.field) !=
+                                               std::string::npos;
+                                    }))
+                << k.field << " = " << v;
+        }
     }
 }
 

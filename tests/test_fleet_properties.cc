@@ -3,7 +3,7 @@
  * Property tests for the fleet tier (hierarchical sharded routing,
  * SLO autoscaling, traffic mixes).
  *
- * The heart is two randomized sweeps:
+ * The heart is three randomized sweeps:
  *
  *  - 44 seeded FleetRouter configurations drawn over replica count,
  *    shard count, both policy tiers, outages, surges and autoscaler
@@ -12,6 +12,13 @@
  *    balanced contiguous shard partitioning, autoscaler bounds and
  *    cooldown hysteresis (no flapping inside the cooldown), ever-active
  *    consistency, and exact replay determinism,
+ *
+ *  - 24 seeded fleets composed with drawn control-plane specs (plus
+ *    one 1024-replica fleet), routed through ControlPlane::route:
+ *    generated == dispatched + shed, sum(assigned) == dispatched +
+ *    hedges, non-decreasing traces, no candidates for replicas the
+ *    autoscaler never provisioned, and full Cluster runs of such
+ *    compositions that do not depend on the jobs count,
  *
  *  - 12 full Cluster runs through the hierarchy, checking that shard
  *    accounting conserves requests (fleet == sum over shards == sum
@@ -30,11 +37,13 @@
 #include <cmath>
 
 #include "cluster/cluster.hh"
+#include "cluster/control_plane.hh"
 #include "cluster/fleet.hh"
 #include "cluster/router.hh"
 #include "cluster_digest.hh"
 #include "common/random.hh"
 #include "core/experiment.hh"
+#include "fault/chaos_plan.hh"
 #include "fault/traffic_mix.hh"
 
 namespace equinox
@@ -232,6 +241,204 @@ TEST(FleetProperties, RandomFleetsUpholdRoutingInvariants)
         EXPECT_EQ(fr.shardRerouted(), fr2.shardRerouted());
         EXPECT_EQ(fr.autoscalerStats().transitions,
                   fr2.autoscalerStats().transitions);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fleet + control plane composed: seeded sweeps over sharding,
+// autoscaling and every resilience mechanism. The routing-only half
+// drives ControlPlane::route over drawn fleets (one of 1024 replicas);
+// the cluster half runs full simulations at two jobs counts.
+
+/** A validated resilience spec with knobs scaled to @p horizon. */
+cluster::ResilienceSpec
+drawResilience(Rng &meta, Tick horizon, double service_cycles)
+{
+    cluster::ResilienceSpec rs;
+    auto admission = cluster::allAdmissionPolicies();
+    rs.admission.policy =
+        admission[meta.uniformInt(0, admission.size() - 1)];
+    rs.admission.background_fraction = meta.uniform(0.0, 0.5);
+    rs.admission.rate_factor = meta.uniform(0.5, 1.5);
+    rs.admission.interval_cycles = 1 + horizon / 50;
+    rs.admission.inference_watermark = meta.uniform(4.0, 16.0);
+    rs.admission.deadline_cycles =
+        static_cast<Tick>(meta.uniform(2.0, 20.0) * service_cycles);
+    if (meta.uniform() < 0.7) {
+        rs.retry.enabled = true;
+        rs.retry.max_attempts = 2 + meta.uniformInt(0, 4);
+        rs.retry.max_budget = meta.uniform(4.0, 1024.0);
+        rs.retry.base_backoff_cycles =
+            1 + horizon / (20 + meta.uniformInt(0, 80));
+    }
+    if (meta.uniform() < 0.7) {
+        rs.hedge.enabled = true;
+        rs.hedge.latency_factor = meta.uniform(0.8, 2.0);
+        rs.hedge.window = 16 + meta.uniformInt(0, 240);
+        rs.hedge.min_samples = 1 + meta.uniformInt(0, 15);
+        rs.hedge.max_hedge_fraction = meta.uniform(0.01, 0.2);
+    }
+    if (meta.uniform() < 0.7) {
+        rs.breaker.enabled = true;
+        rs.breaker.trip_failures = 1 + meta.uniformInt(0, 4);
+        rs.breaker.probe_interval_cycles =
+            1 + horizon / (50 + meta.uniformInt(0, 150));
+        rs.breaker.cooldown_cycles =
+            1 + horizon / (10 + meta.uniformInt(0, 40));
+        rs.breaker.halfopen_probes = 1 + meta.uniformInt(0, 2);
+        if (meta.uniform() < 0.5)
+            rs.breaker.latency_trip_cycles =
+                meta.uniform(2.0, 20.0) * service_cycles;
+    }
+    rs.shed_training_under_overload = meta.uniform() < 0.3;
+    return rs;
+}
+
+/** The invariants every control-plane routing pass upholds. */
+void
+expectControlPlaneInvariants(const cluster::ControlPlane &cp,
+                             const cluster::RouterResult &r)
+{
+    const cluster::ResilienceStats &st = cp.stats();
+    EXPECT_EQ(r.generated, st.dispatched + r.shed);
+    EXPECT_EQ(r.shed, st.totalShed());
+    std::uint64_t assigned = 0;
+    for (std::size_t rep = 0; rep < r.traces.size(); ++rep) {
+        EXPECT_EQ(r.assigned[rep], r.traces[rep].size());
+        assigned += r.assigned[rep];
+        for (std::size_t k = 1; k < r.traces[rep].size(); ++k)
+            ASSERT_LE(r.traces[rep][k - 1], r.traces[rep][k])
+                << "replica " << rep;
+        if (!cp.fleet().everActive(rep)) {
+            EXPECT_EQ(r.assigned[rep], 0u)
+                << "never-provisioned replica " << rep;
+        }
+    }
+    EXPECT_EQ(assigned, st.dispatched + st.hedges_issued);
+}
+
+TEST(FleetProperties, RandomResilientFleetsUpholdRoutingInvariants)
+{
+    Rng meta(20261019);
+    const int kConfigs = 24;
+    for (int i = 0; i < kConfigs; ++i) {
+        DrawnFleet d = drawFleet(meta, static_cast<std::size_t>(i));
+        cluster::ResilienceSpec rs = drawResilience(
+            meta, d.horizon, 1.0 / d.cfg.service_rate_per_cycle);
+        ASSERT_TRUE(rs.validate().empty());
+        SCOPED_TRACE(::testing::Message()
+                     << "fleet " << i << ": replicas " << d.cfg.replicas
+                     << " shards " << d.cfg.shards << " autoscale "
+                     << d.cfg.autoscale << " retry " << rs.retry.enabled
+                     << " hedge " << rs.hedge.enabled << " breaker "
+                     << rs.breaker.enabled);
+
+        cluster::ControlPlane cp(rs, d.cfg, d.outages);
+        cluster::RouterResult r =
+            cp.route(d.rate_per_cycle, d.seed, d.horizon, d.surges);
+        expectControlPlaneInvariants(cp, r);
+
+        cluster::ControlPlane cp2(rs, d.cfg, d.outages);
+        cluster::RouterResult r2 =
+            cp2.route(d.rate_per_cycle, d.seed, d.horizon, d.surges);
+        ASSERT_EQ(r.traces, r2.traces);
+        EXPECT_EQ(cp.fleet().autoscalerStats().transitions,
+                  cp2.fleet().autoscalerStats().transitions);
+    }
+}
+
+TEST(FleetProperties, ResilientFleetOf1024RoutesWithinInvariants)
+{
+    // Routing only: 1024 replicas in 32 shards, autoscaled, with every
+    // mechanism on and a rack-wide outage of the first shards.
+    cluster::FleetRouter::Config fc;
+    fc.replicas = 1024;
+    fc.shards = 32;
+    fc.replica_policy = cluster::RoutingPolicy::JoinShortestQueue;
+    fc.shard_policy = cluster::RoutingPolicy::LatencyAware;
+    fc.service_rate_per_cycle = 1e-4;
+    fc.autoscale = true;
+    fc.min_active = 64;
+    fc.initial_active = 256;
+    fc.target_p99_cycles = 5e4;
+    fc.decision_interval = 5000;
+    fc.cooldown = 10000;
+    fc.warmup = 2000;
+    const Tick horizon = 100000;
+    std::vector<cluster::RouterOutage> outages;
+    for (std::size_t r = 0; r < 96; ++r)
+        outages.push_back({r, 20000, 50000});
+
+    Rng meta(1024);
+    cluster::ResilienceSpec rs = drawResilience(meta, horizon, 1e4);
+    rs.retry.enabled = true;
+    rs.hedge.enabled = true;
+    rs.breaker.enabled = true;
+    ASSERT_TRUE(rs.validate().empty());
+
+    cluster::ControlPlane cp(rs, fc, outages);
+    cluster::RouterResult r = cp.route(0.5 * 1024 * 1e-4, 7, horizon);
+    expectControlPlaneInvariants(cp, r);
+    EXPECT_GT(cp.stats().dispatched, 0u);
+    EXPECT_GT(cp.fleet().autoscalerStats().decisions, 0u);
+}
+
+TEST(FleetProperties, ResilientFleetClusterIsIdenticalAcrossJobs)
+{
+    auto cfg = testutil::smallConfig();
+    const double f = cfg.frequency_hz;
+    Rng meta(20261020);
+    const int kConfigs = 4;
+    for (int i = 0; i < kConfigs; ++i) {
+        core::ExperimentOptions opts = baseOptions();
+        opts.seed = 500 + static_cast<std::uint64_t>(i);
+        opts.measure_requests = 1u << 30;
+        opts.min_measure_s = opts.max_sim_s;
+
+        cluster::ClusterSpec spec;
+        static const std::size_t replica_choices[] = {4, 6, 8};
+        spec.replicas = replica_choices[meta.uniformInt(0, 2)];
+        auto policies = cluster::allRoutingPolicies();
+        spec.policy = policies[meta.uniformInt(0, policies.size() - 1)];
+        spec.fleet.shards = meta.uniformInt(0, 3);
+        spec.fleet.shard_policy =
+            policies[meta.uniformInt(0, policies.size() - 1)];
+        if (meta.uniform() < 0.5) {
+            spec.fleet.autoscaler.enabled = true;
+            spec.fleet.autoscaler.min_replicas =
+                1 + meta.uniformInt(0, spec.replicas / 2);
+            spec.fleet.autoscaler.target_p99_s = meta.uniform(5e-5, 5e-3);
+        }
+        Tick horizon = static_cast<Tick>(opts.max_sim_s * f);
+        spec.resilience = drawResilience(meta, horizon, 1e4);
+        if (!spec.resilience.enabled())
+            spec.resilience.admission.background_fraction = 0.2;
+        auto names = fault::chaosScenarioNames();
+        spec.chaos = fault::chaosScenario(
+            names[meta.uniformInt(0, names.size() - 1)], opts.max_sim_s);
+        double load = meta.uniform(0.4, 1.0);
+        SCOPED_TRACE(::testing::Message()
+                     << "config " << i << ": replicas " << spec.replicas
+                     << " shards " << spec.fleet.shards << " autoscale "
+                     << spec.fleet.autoscaler.enabled << " load "
+                     << load);
+
+        opts.jobs = 1;
+        auto serial = cluster::Cluster(cfg, spec).run(load, opts);
+        opts.jobs = 3;
+        auto fanout = cluster::Cluster(cfg, spec).run(load, opts);
+        EXPECT_EQ(testutil::digestOf(serial), testutil::digestOf(fanout));
+
+        const auto &st = serial.resilience;
+        EXPECT_TRUE(serial.control_plane);
+        EXPECT_EQ(serial.generated_candidates,
+                  st.dispatched + st.totalShed());
+        std::uint64_t assigned = 0;
+        for (const auto &rep : serial.per_replica)
+            assigned += rep.assigned_candidates;
+        EXPECT_EQ(assigned, st.dispatched + st.hedges_issued);
+        EXPECT_EQ(serial.admitted_requests,
+                  serial.retired_requests + serial.inflight_requests);
     }
 }
 
@@ -542,14 +749,13 @@ TEST(ClusterSpecValidate, FleetCrossChecksFire)
     spec.fleet.autoscaler.enabled = true;
     spec.fleet.autoscaler.min_replicas = 9; // exceeds the fleet
     spec.fleet.autoscaler.target_p99_s = 0.001;
-    spec.resilience.retry.enabled = true; // cannot compose
+    spec.resilience.retry.enabled = true; // composes with the fleet
     auto errors = spec.validate();
     std::size_t fleet_errors = 0;
     for (const auto &e : errors)
         if (e.rfind("fleet:", 0) == 0)
             ++fleet_errors;
-    EXPECT_EQ(fleet_errors, 3u) << "shards > replicas, min > fleet, "
-                                   "resilience composition";
+    EXPECT_EQ(fleet_errors, 2u) << "shards > replicas, min > fleet";
 
     cluster::ClusterSpec ok;
     ok.replicas = 8;
@@ -558,6 +764,18 @@ TEST(ClusterSpecValidate, FleetCrossChecksFire)
     ok.fleet.autoscaler.min_replicas = 2;
     ok.fleet.autoscaler.target_p99_s = 0.001;
     EXPECT_TRUE(ok.validate().empty());
+
+    // Sharding and autoscaling compose with every resilience
+    // mechanism.
+    cluster::ClusterSpec composed = ok;
+    composed.resilience.retry.enabled = true;
+    composed.resilience.hedge.enabled = true;
+    composed.resilience.breaker.enabled = true;
+    composed.resilience.admission.policy =
+        cluster::AdmissionPolicy::TokenBucket;
+    composed.resilience.shed_training_under_overload = true;
+    ASSERT_TRUE(composed.resilience.enabled());
+    EXPECT_TRUE(composed.validate().empty());
 }
 
 } // namespace

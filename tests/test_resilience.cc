@@ -4,8 +4,8 @@
  * ResilienceSpec / ClusterSpec validation messages, the admission
  * policies, the
  * circuit-breaker state machine, chaos materialization determinism,
- * surge-aware arrival generation, and the ControlPlane conservation
- * identities.
+ * surge-aware arrival generation, the ControlPlane conservation
+ * identities, and the side-effect-free shard-tier breaker query.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "cluster/circuit_breaker.hh"
 #include "cluster/cluster.hh"
 #include "cluster/control_plane.hh"
+#include "cluster/fleet.hh"
 #include "cluster/router.hh"
 #include "common/random.hh"
 #include "fault/chaos_plan.hh"
@@ -618,6 +619,60 @@ TEST(CircuitBreaker, ProbesAreRateLimited)
     EXPECT_EQ(br.state(), cluster::CircuitBreaker::State::Open);
 }
 
+TEST(CircuitBreaker, WouldAllowLeavesAnOpenBreakerOpen)
+{
+    cluster::BreakerConfig cfg;
+    cfg.enabled = true;
+    cfg.trip_failures = 1;
+    cfg.probe_interval_cycles = 10;
+    cfg.cooldown_cycles = 100;
+    cluster::CircuitBreaker br(cfg);
+
+    using State = cluster::CircuitBreaker::State;
+    EXPECT_TRUE(br.wouldAllow(0));
+    br.observe(10, false);
+    EXPECT_FALSE(br.wouldAllow(50));
+    // Past the cooldown the query answers what allows() would, but
+    // only allows() moves the breaker to HalfOpen.
+    EXPECT_TRUE(br.wouldAllow(111));
+    EXPECT_EQ(br.state(), State::Open);
+    EXPECT_TRUE(br.allows(111));
+    EXPECT_EQ(br.state(), State::HalfOpen);
+}
+
+TEST(CircuitBreaker, ShardTierNeverMovesABreaker)
+{
+    // Two shards of two replicas, every breaker Open past its
+    // cooldown. Ranking the shards must leave all four Open; only the
+    // chosen shard's inner router calls allows(), which moves its
+    // members to HalfOpen.
+    cluster::BreakerConfig bc;
+    bc.enabled = true;
+    bc.trip_failures = 1;
+    bc.probe_interval_cycles = 1;
+    bc.cooldown_cycles = 10;
+    std::vector<cluster::CircuitBreaker> breakers(
+        4, cluster::CircuitBreaker(bc));
+    for (auto &b : breakers)
+        b.observe(0, false);
+
+    cluster::FleetRouter::Config fc;
+    fc.replicas = 4;
+    fc.shards = 2;
+    fc.replica_policy = cluster::RoutingPolicy::JoinShortestQueue;
+    fc.shard_policy = cluster::RoutingPolicy::JoinShortestQueue;
+    fc.service_rate_per_cycle = 1e-3;
+    cluster::FleetRouter fleet(fc, {});
+    fleet.setBreakers(&breakers);
+
+    EXPECT_EQ(fleet.pick(20), 0u);
+    using State = cluster::CircuitBreaker::State;
+    EXPECT_EQ(breakers[0].state(), State::HalfOpen);
+    EXPECT_EQ(breakers[1].state(), State::HalfOpen);
+    EXPECT_EQ(breakers[2].state(), State::Open);
+    EXPECT_EQ(breakers[3].state(), State::Open);
+}
+
 // ---------------------------------------------------------------------
 // Chaos materialization.
 
@@ -966,6 +1021,33 @@ TEST(ControlPlane, HugeBackoffSaturatesAndKeepsTracesOrdered)
     EXPECT_EQ(res.generated, s.dispatched + s.totalShed());
     EXPECT_EQ(s.admission.admitted,
               s.dispatched + s.retry_shed + s.outage_shed);
+}
+
+TEST(ControlPlane, UnprovisionedReplicasAreNotBreakerDenials)
+{
+    // The autoscaler keeps replicas 0-1 of 8 provisioned and both are
+    // dark all run: every shed is the outage's, none the breakers',
+    // although replicas 2-7 sit outside every outage window.
+    cluster::FleetRouter::Config fc;
+    fc.replicas = 8;
+    fc.shards = 2;
+    fc.service_rate_per_cycle = 1e-3;
+    fc.autoscale = true;
+    fc.min_active = 2;
+    fc.max_active = 2;
+    fc.target_p99_cycles = 1e9;
+    fc.decision_interval = 10000;
+    std::vector<cluster::RouterOutage> outages{{0, 0, 200000},
+                                               {1, 0, 200000}};
+    cluster::ResilienceSpec spec;
+    spec.breaker.enabled = true;
+    cluster::ControlPlane cp(spec, fc, outages);
+    auto res = cp.route(1e-3, 3, 100000);
+
+    EXPECT_GT(res.generated, 0u);
+    EXPECT_EQ(cp.stats().dispatched, 0u);
+    EXPECT_EQ(cp.stats().outage_shed, res.generated);
+    EXPECT_EQ(cp.stats().breaker_denials, 0u);
 }
 
 TEST(ControlPlane, HedgeBudgetCapsDuplicates)

@@ -5,8 +5,8 @@
  *  - the resilience + chaos path is byte-identical across jobs counts
  *    and across repeated runs (determinism),
  *  - a tagging-only control plane leaves the replica simulations
- *    byte-identical to the bare router (the no-op identity golden
- *    digests rely on),
+ *    byte-identical to the bare router, flat or sharded and
+ *    autoscaled (the no-op identity golden digests rely on),
  *  - conservation: every generated candidate is dispatched or shed,
  *    every admitted request retires or is in flight at the horizon,
  *  - the CI-enforced acceptance criterion: under the
@@ -20,7 +20,10 @@
  *  - golden routing digests for a multi-shard fleet under outages:
  *    the shard tier's reroute and its all-dark fallback (the chosen
  *    shard's inner router sheds) are pinned for both shard-tier
- *    ranking modes.
+ *    ranking modes,
+ *  - a golden routing digest for fleet and resilience composed: 4
+ *    shards, the autoscaler, breakers, retries and hedges under
+ *    flash_crowd_outage.
  */
 
 #include <gtest/gtest.h>
@@ -142,37 +145,67 @@ TEST(ResilienceCluster, ChaosRunIsDeterministic)
     EXPECT_EQ(testutil::digestOf(a), testutil::digestOf(b));
 }
 
+/** 12 replicas in 3 shards, autoscaled from 6 active. */
+cluster::ClusterSpec
+autoscaledShardedSpec()
+{
+    cluster::ClusterSpec cspec;
+    cspec.replicas = 12;
+    cspec.policy = cluster::RoutingPolicy::JoinShortestQueue;
+    cspec.fleet.shards = 3;
+    cluster::AutoscalerSpec &as = cspec.fleet.autoscaler;
+    as.enabled = true;
+    as.min_replicas = 2;
+    as.initial_replicas = 6;
+    as.target_p99_s = 5e-4;
+    as.decision_interval_s = kHorizonS / 100.0;
+    as.cooldown_s = kHorizonS / 50.0;
+    as.warmup_s = kHorizonS / 200.0;
+    return cspec;
+}
+
 TEST(ResilienceCluster, TaggingOnlyControlPlaneLeavesReplicasUntouched)
 {
     // Priority tagging alone must not perturb the replica
     // simulations: same traces, same latency samples, same per-replica
     // results as the bare router. This is the no-op identity that
-    // keeps the golden digests of the plain cluster path valid.
-    cluster::ClusterSpec plain;
-    plain.replicas = 3;
-    plain.policy = cluster::RoutingPolicy::JoinShortestQueue;
+    // keeps the golden digests of the plain cluster path valid. It
+    // holds for a flat fleet and for a sharded, autoscaled one, where
+    // the autoscaler must also take the same decisions.
+    cluster::ClusterSpec flat;
+    flat.replicas = 3;
+    flat.policy = cluster::RoutingPolicy::JoinShortestQueue;
 
-    cluster::ClusterSpec tagged = plain;
-    tagged.resilience.admission.background_fraction = 0.3;
-    ASSERT_TRUE(tagged.resilience.enabled());
+    for (const cluster::ClusterSpec &plain :
+         {flat, autoscaledShardedSpec()}) {
+        SCOPED_TRACE(::testing::Message()
+                     << plain.replicas << " replicas, "
+                     << plain.fleet.shards << " shards");
+        cluster::ClusterSpec tagged = plain;
+        tagged.resilience.admission.background_fraction = 0.3;
+        ASSERT_TRUE(tagged.resilience.enabled());
 
-    auto a = runPoint(plain, 0.6, 2);
-    auto b = runPoint(tagged, 0.6, 2);
+        auto a = runPoint(plain, 0.6, 2);
+        auto b = runPoint(tagged, 0.6, 2);
 
-    EXPECT_FALSE(a.control_plane);
-    EXPECT_TRUE(b.control_plane);
-    ASSERT_EQ(a.per_replica.size(), b.per_replica.size());
-    for (std::size_t r = 0; r < a.per_replica.size(); ++r) {
-        testutil::ResultDigest da, db;
-        testutil::foldSim(da, a.per_replica[r].sim);
-        testutil::foldSim(db, b.per_replica[r].sim);
-        EXPECT_EQ(da.value(), db.value()) << "replica " << r;
-        EXPECT_EQ(a.per_replica[r].assigned_candidates,
-                  b.per_replica[r].assigned_candidates);
+        EXPECT_FALSE(a.control_plane);
+        EXPECT_TRUE(b.control_plane);
+        ASSERT_EQ(a.per_replica.size(), b.per_replica.size());
+        for (std::size_t r = 0; r < a.per_replica.size(); ++r) {
+            testutil::ResultDigest da, db;
+            testutil::foldSim(da, a.per_replica[r].sim);
+            testutil::foldSim(db, b.per_replica[r].sim);
+            EXPECT_EQ(da.value(), db.value()) << "replica " << r;
+            EXPECT_EQ(a.per_replica[r].assigned_candidates,
+                      b.per_replica[r].assigned_candidates);
+        }
+        EXPECT_EQ(a.merged_latency_cycles.count(),
+                  b.merged_latency_cycles.count());
+        EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
+        EXPECT_EQ(a.shards, b.shards);
+        EXPECT_EQ(a.shard_rerouted, b.shard_rerouted);
+        EXPECT_EQ(a.autoscaler.transitions, b.autoscaler.transitions);
     }
-    EXPECT_EQ(a.merged_latency_cycles.count(),
-              b.merged_latency_cycles.count());
-    EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
 }
 
 TEST(ResilienceCluster, ConservationHoldsUnderChaos)
@@ -316,6 +349,7 @@ constexpr std::uint64_t kGoldenShardOutageRoundRobinFleetRouting =
     0x4f0ae63ee350b214ull;
 constexpr std::uint64_t kGoldenShardChurnLatencyAwareFleetRouting =
     0x3de3c9b7933e28a5ull;
+constexpr std::uint64_t kGoldenResilientFleetRouting = 0xbe3379eed69f2d76ull;
 
 TEST(ResilienceCluster, GoldenRoutingDigestLatencyAwareRouter)
 {
@@ -373,6 +407,42 @@ TEST(ResilienceCluster, GoldenRoutingDigestAutoscaledFleet)
     EXPECT_GT(r.autoscaler.scale_ups, 0u);
     EXPECT_GT(r.autoscaler.scale_downs, 0u);
     EXPECT_EQ(routingDigest(r), kGoldenAutoscaledFleetRouting)
+        << std::hex << routingDigest(r);
+}
+
+TEST(ResilienceCluster, GoldenRoutingDigestResilientFleet)
+{
+    // Fleet and resilience composed: 4 shards, the autoscaler, and the
+    // full control plane (breakers with the latency trip, retries,
+    // hedges within the primary's shard) under flash_crowd_outage.
+    cluster::ClusterSpec cspec;
+    cspec.replicas = 16;
+    cspec.policy = cluster::RoutingPolicy::JoinShortestQueue;
+    cspec.fleet.shards = 4;
+    cspec.fleet.shard_policy = cluster::RoutingPolicy::JoinShortestQueue;
+    cluster::AutoscalerSpec &as = cspec.fleet.autoscaler;
+    as.enabled = true;
+    as.min_replicas = 4;
+    as.initial_replicas = 8;
+    as.target_p99_s = 5e-4;
+    as.decision_interval_s = kHorizonS / 100.0;
+    as.cooldown_s = kHorizonS / 50.0;
+    as.warmup_s = kHorizonS / 200.0;
+    cspec.resilience = resilientSpec(200000);
+    cspec.resilience.breaker.latency_trip_cycles = 40000.0;
+    cspec.chaos = fault::chaosScenario("flash_crowd_outage", kHorizonS);
+    auto r = runPoint(cspec, 0.8, 2);
+
+    EXPECT_TRUE(r.control_plane);
+    EXPECT_TRUE(r.autoscaled);
+    EXPECT_EQ(r.shards, 4u);
+    EXPECT_GT(r.autoscaler.scale_ups, 0u);
+    EXPECT_GT(r.resilience.hedges_issued, 0u);
+    EXPECT_GT(r.resilience.retry_attempts, 0u);
+    EXPECT_GT(r.resilience.breaker_opens, 0u);
+    EXPECT_EQ(r.generated_candidates,
+              r.resilience.dispatched + r.resilience.totalShed());
+    EXPECT_EQ(routingDigest(r), kGoldenResilientFleetRouting)
         << std::hex << routingDigest(r);
 }
 
