@@ -55,6 +55,11 @@
 #                                # fails on any difference (host timing
 #                                # goes to stderr, so stdout is a pure
 #                                # function of the code)
+#   scripts/check.sh --lines REV # .cc/.hh line counts of every src/
+#                                # module and of src/ in total, for REV
+#                                # (read with git show) and for the
+#                                # working tree, with the delta -- the
+#                                # size measure of a simplification
 #
 # The "resilience" ctest label is a subset of tier1, so the default run
 # (and the asan/tsan presets, via the tier1/parallel labels) already
@@ -206,6 +211,47 @@ compare_bench_stdout() {
     echo "check.sh: bench stdout identical to $1"
 }
 
+lines_of_rev() {
+    # "<path> <lines>" for every .cc/.hh file under src/ at REV.
+    local f
+    git ls-tree -r --name-only "$1" -- src | grep -E '\.(cc|hh)$' |
+        while IFS= read -r f; do
+            echo "$f $(git show "$1:$f" | wc -l)"
+        done
+}
+
+lines_of_tree() {
+    # The same for the working tree, untracked files included.
+    local f
+    find src -type f \( -name '*.cc' -o -name '*.hh' \) |
+        while IFS= read -r f; do
+            echo "$f $(wc -l <"$f")"
+        done
+}
+
+module_lines() {
+    # Sum "<path> <lines>" records per src/<module>, sorted by module.
+    awk '{ split($1, p, "/"); n[p[1] "/" p[2]] += $2 }
+         END { for (m in n) print m, n[m] }' | sort
+}
+
+compare_lines() {
+    git rev-parse --verify --quiet "$1^{commit}" >/dev/null || {
+        echo "check.sh: unknown revision $1" >&2
+        return 2
+    }
+    join -a 1 -a 2 -e 0 -o 0,1.2,2.2 \
+        <(lines_of_rev "$1" | module_lines) \
+        <(lines_of_tree | module_lines) |
+        awk -v rev="$1" '
+            BEGIN { printf "%-14s %9s %9s %7s\n", "module", rev, "tree",
+                           "delta" }
+            { printf "%-14s %9d %9d %+7d\n", $1, $2, $3, $3 - $2
+              a += $2; b += $3 }
+            END { printf "%-14s %9d %9d %+7d\n", "src total", a, b,
+                         b - a }'
+}
+
 case "${1:-}" in
   --format)
     run_format_check
@@ -253,13 +299,20 @@ case "${1:-}" in
     fi
     compare_bench_stdout "$2"
     ;;
+  --lines)
+    if [ -z "${2:-}" ]; then
+        echo "usage: scripts/check.sh --lines REV" >&2
+        exit 2
+    fi
+    compare_lines "$2"
+    ;;
   "")
     run_format_check
     run_preset default
     ;;
   *)
     echo "usage: scripts/check.sh" \
-         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--digests [REV]|--bench-stdout REV|--format]" >&2
+         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--digests [REV]|--bench-stdout REV|--lines REV|--format]" >&2
     exit 2
     ;;
 esac

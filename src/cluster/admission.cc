@@ -150,19 +150,19 @@ AdmissionController::offerQueueDepth(Tick t, double mean_backlog)
             return true;
         dropping_ = true;
         drop_count_ = 1;
-        next_drop_ =
-            t + static_cast<Tick>(
-                    static_cast<double>(cfg_.interval_cycles) /
-                    std::sqrt(static_cast<double>(drop_count_ + 1)));
+        next_drop_ = saturatingAdd(
+            t, static_cast<Tick>(
+                   static_cast<double>(cfg_.interval_cycles) /
+                   std::sqrt(static_cast<double>(drop_count_ + 1))));
         ++stats_.shed_queue;
         return false;
     }
     if (t >= next_drop_) {
         ++drop_count_;
-        next_drop_ =
-            t + static_cast<Tick>(
-                    static_cast<double>(cfg_.interval_cycles) /
-                    std::sqrt(static_cast<double>(drop_count_ + 1)));
+        next_drop_ = saturatingAdd(
+            t, static_cast<Tick>(
+                   static_cast<double>(cfg_.interval_cycles) /
+                   std::sqrt(static_cast<double>(drop_count_ + 1))));
         ++stats_.shed_queue;
         return false;
     }

@@ -55,7 +55,7 @@ void
 CircuitBreaker::trip(Tick t, bool reopen)
 {
     state_ = State::Open;
-    open_until_ = t + cfg_.cooldown_cycles;
+    open_until_ = saturatingAdd(t, cfg_.cooldown_cycles);
     consecutive_failures_ = 0;
     probe_successes_ = 0;
     if (reopen)
@@ -70,7 +70,8 @@ CircuitBreaker::observe(Tick t, bool healthy)
     if (!cfg_.enabled)
         return;
     // Rate-limit: a burst of same-window arrivals is one probe.
-    if (probed_ && t < last_probe_ + cfg_.probe_interval_cycles)
+    if (probed_ &&
+        t < saturatingAdd(last_probe_, cfg_.probe_interval_cycles))
         return;
     probed_ = true;
     last_probe_ = t;

@@ -13,10 +13,11 @@
  *   HalfOpen --(halfopen_probes consecutive good probes)--> Closed
  *   HalfOpen --(one bad probe)--> Open (cooldown restarts)
  *
- * While Open the routing policies skip the replica via the Router's
- * availability filter; HalfOpen lets traffic through so the probes
- * have something to observe. Everything is deterministic: state moves
- * only on observe()/allows() calls at event ticks, never on wall time.
+ * While Open the routing policies skip the replica (the FleetRouter's
+ * replica-tier availability check); HalfOpen lets traffic through so
+ * the probes have something to observe. Everything is deterministic:
+ * state moves only on observe()/allows() calls at event ticks, never
+ * on wall time.
  */
 
 #ifndef EQUINOX_CLUSTER_CIRCUIT_BREAKER_HH

@@ -171,15 +171,14 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
     }
 
     // Route the global candidate stream through the one routing tier:
-    // a FleetRouter (one shard, deciding exactly like the flat Router,
-    // unless the spec shards the fleet), owned by the ControlPlane
-    // (admission, retries, hedging, breakers) when any resilience
-    // mechanism is on. `load` is the offered fraction of the AGGREGATE
-    // capacity, so the stream runs at per-replica rate x N; bursty
-    // mode draws candidates at the peak rate and the replicas thin
-    // them at arrival, mirroring the single-accelerator generator.
-    // All knobs convert to the cycle domain here; the router never
-    // sees seconds.
+    // a FleetRouter (one shard unless the spec shards the fleet),
+    // owned by the ControlPlane (admission, retries, hedging,
+    // breakers) when any resilience mechanism is on. `load` is the
+    // offered fraction of the AGGREGATE capacity, so the stream runs
+    // at per-replica rate x N; bursty mode draws candidates at the
+    // peak rate and the replicas thin them at arrival, mirroring the
+    // single-accelerator generator. All knobs convert to the cycle
+    // domain here; the router never sees seconds.
     double rate_cycle =
         per_replica_rate * static_cast<double>(n) / f;
     if (spec_.arrival_process == sim::ArrivalProcess::Bursty)

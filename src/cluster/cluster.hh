@@ -91,9 +91,8 @@ struct ClusterSpec
     /**
      * Fleet-scale serving: hierarchical sharded routing, SLO-aware
      * autoscaling, and traffic mixes. Default-constructed = off: the
-     * run routes through one shard, deciding exactly like the flat
-     * Router. Every fleet mechanism composes with the resilience
-     * control plane.
+     * run routes through one shard (the flat router). Every fleet
+     * mechanism composes with the resilience control plane.
      */
     FleetSpec fleet;
 

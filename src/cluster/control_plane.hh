@@ -50,7 +50,7 @@ namespace equinox
 namespace cluster
 {
 
-/** Client-side retry budget over the Router (defaults: off). */
+/** Client-side retry budget over the routing tier (defaults: off). */
 struct RetryConfig
 {
     bool enabled = false;
@@ -179,9 +179,13 @@ class ControlPlane
                  std::size_t latency_window,
                  std::vector<RouterOutage> outages);
 
+    /** The owned FleetRouter points at breakers_. */
+    ControlPlane(const ControlPlane &) = delete;
+    ControlPlane &operator=(const ControlPlane &) = delete;
+
     /**
      * Route one run's candidate stream through the control plane.
-     * Same contract as Router::route, plus: RouterResult::shed counts
+     * Same contract as FleetRouter::route, plus: RouterResult::shed counts
      * every control-plane shed (stats().totalShed()), and the
      * conservation identities become
      *   generated == dispatched + shed

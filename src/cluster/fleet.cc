@@ -40,19 +40,23 @@ AutoscalerSpec::validate() const
          (max_replicas != 0 && initial_replicas > max_replicas)))
         errors.push_back("autoscaler initial_replicas must be 0 or in "
                          "[min_replicas, max_replicas]");
-    if (!(target_p99_s > 0.0))
-        errors.push_back("autoscaler needs target_p99_s > 0");
+    // The four time knobs must be finite: an infinite one silently
+    // switches its mechanism off (an unreachable target, no decision,
+    // no second action, a replica that never warms up).
+    if (!(target_p99_s > 0.0) || !std::isfinite(target_p99_s))
+        errors.push_back("autoscaler target_p99_s must be finite and > 0");
     if (!(low_watermark > 0.0 && low_watermark < 1.0))
         errors.push_back("autoscaler low_watermark must be in (0, 1)");
     if (!(target_utilization > 0.0 && target_utilization <= 1.0))
         errors.push_back(
             "autoscaler target_utilization must be in (0, 1]");
-    if (!(decision_interval_s > 0.0))
-        errors.push_back("autoscaler needs decision_interval_s > 0");
-    if (!(cooldown_s >= 0.0))
-        errors.push_back("autoscaler cooldown_s must be >= 0");
-    if (!(warmup_s >= 0.0))
-        errors.push_back("autoscaler warmup_s must be >= 0");
+    if (!(decision_interval_s > 0.0) || !std::isfinite(decision_interval_s))
+        errors.push_back(
+            "autoscaler decision_interval_s must be finite and > 0");
+    if (!(cooldown_s >= 0.0) || !std::isfinite(cooldown_s))
+        errors.push_back("autoscaler cooldown_s must be finite and >= 0");
+    if (!(warmup_s >= 0.0) || !std::isfinite(warmup_s))
+        errors.push_back("autoscaler warmup_s must be finite and >= 0");
     if (estimate_window < 1)
         errors.push_back("autoscaler estimate_window must be >= 1");
     if (min_samples < 1)
@@ -92,23 +96,23 @@ FleetRouter::FleetRouter(const Config &cfg,
     for (std::size_t s = 0; s < shards_; ++s)
         base_[s + 1] = base_[s] + size + (s < rem ? 1 : 0);
 
-    // Split the global outage plan into per-shard local plans.
-    std::vector<std::vector<RouterOutage>> local(shards_);
+    estimators_.reserve(n);
+    for (std::size_t r = 0; r < n; ++r)
+        estimators_.emplace_back(cfg_.service_rate_per_cycle,
+                                 cfg_.latency_window);
+    outages_.resize(n);
     shard_has_outage_.assign(shards_, 0);
     for (const auto &o : outages) {
         EQX_ASSERT(o.replica < n, "outage names replica ", o.replica,
                    " of ", n);
-        std::size_t s = shardOf(o.replica);
-        local[s].push_back({o.replica - base_[s], o.from, o.to});
-        shard_has_outage_[s] = 1;
+        EQX_ASSERT(o.from <= o.to, "outage window runs backwards");
+        outages_[o.replica].push_back(o);
+        shard_has_outage_[shardOf(o.replica)] = 1;
     }
+    cursor_.assign(shards_, 0);
 
-    inner_.reserve(shards_);
     shard_est_.reserve(shards_);
     for (std::size_t s = 0; s < shards_; ++s) {
-        inner_.emplace_back(cfg_.replica_policy, shardSize(s),
-                            cfg_.service_rate_per_cycle,
-                            cfg_.latency_window, std::move(local[s]));
         // The shard estimator models the shard as one fat server with
         // the shard's aggregate capacity -- the same M/D/1-style fluid
         // queue the replica estimators run, one level up.
@@ -142,24 +146,19 @@ FleetRouter::FleetRouter(const Config &cfg,
         stats_.min_active = initial;
         stats_.max_active = initial;
         stats_.final_active = initial;
-        setBreakers(nullptr); // installs the routability veto
     }
 }
 
-void
-FleetRouter::setBreakers(std::vector<CircuitBreaker> *breakers)
+FleetRouter::FleetRouter(RoutingPolicy policy, std::size_t replicas,
+                         double service_rate_per_cycle,
+                         std::size_t latency_window,
+                         std::vector<RouterOutage> outages)
+    : FleetRouter({.replica_policy = policy,
+                   .replicas = replicas,
+                   .service_rate_per_cycle = service_rate_per_cycle,
+                   .latency_window = latency_window},
+                  std::move(outages))
 {
-    // One replica-tier veto: the autoscaler first, so only a replica
-    // it would route to can move its breaker from Open to HalfOpen.
-    breakers_ = breakers;
-    for (std::size_t s = 0; s < shards_; ++s) {
-        std::size_t b = base_[s];
-        inner_[s].setAvailabilityFilter(
-            [this, b](std::size_t local_r, Tick t) {
-                return routable(b + local_r, t) &&
-                       (!breakers_ || (*breakers_)[b + local_r].allows(t));
-            });
-    }
 }
 
 std::size_t
@@ -180,6 +179,23 @@ bool
 FleetRouter::routable(std::size_t replica, Tick t) const
 {
     return !cfg_.autoscale || routable_from_[replica] <= t;
+}
+
+bool
+FleetRouter::alive(std::size_t r, Tick t) const
+{
+    for (const auto &o : outages_[r]) {
+        if (t >= o.from && t < o.to)
+            return false;
+    }
+    return true;
+}
+
+bool
+FleetRouter::available(std::size_t r, Tick t) const
+{
+    return alive(r, t) && routable(r, t) &&
+           (!breakers_ || (*breakers_)[r].allows(t));
 }
 
 bool
@@ -206,7 +222,7 @@ FleetRouter::shardAvailable(std::size_t s, Tick t) const
     if (!shard_has_outage_[s] && !breakers_)
         return true;
     for (std::size_t r = base_[s]; r < base_[s + 1]; ++r) {
-        if (inner_[s].alive(r - base_[s], t) && routable(r, t) &&
+        if (alive(r, t) && routable(r, t) &&
             (!breakers_ || (*breakers_)[r].wouldAllow(t)))
             return true;
     }
@@ -218,8 +234,8 @@ FleetRouter::pick(Tick t)
 {
     if (cfg_.autoscale)
         onCandidate(t);
-    // One shard skips the shard tier, so its inner router sees the
-    // flat router's exact call sequence (the identity lemma).
+    // One shard skips the shard tier: the replica tier then ranks the
+    // whole fleet.
     std::size_t s = 0;
     if (shards_ > 1) {
         for (auto &e : shard_est_)
@@ -231,39 +247,62 @@ FleetRouter::pick(Tick t)
         if (rp.rerouted())
             ++shard_rerouted_;
         // No shard has an available replica: the candidate still goes
-        // to the blind choice so THAT inner router sheds it (and
-        // advances its own rotation).
+        // to the blind choice so THAT shard sheds it (and advances its
+        // own rotation).
         s = rp.pick != kNoReplica ? rp.pick : rp.blind;
     }
-    std::size_t local = inner_[s].pick(t);
-    if (local == kNoReplica)
-        return kNoReplica; // the inner router counted the shed
+
+    const std::size_t b = base_[s];
+    for (std::size_t r = b; r < base_[s + 1]; ++r)
+        estimators_[r].drainTo(t);
+    RankedPick rp = rankReplicas(
+        cfg_.replica_policy, slice(s), cursor_[s],
+        [&](std::size_t i) { return available(b + i, t); });
+    cursor_[s] = rp.cursor;
+    if (rp.rerouted())
+        ++rerouted_;
+    if (rp.pick == kNoReplica) {
+        ++shed_;
+        return kNoReplica;
+    }
+    const std::size_t r = b + rp.pick;
+    estimators_[r].assign(t);
     if (shards_ > 1)
         shard_est_[s].assign(t);
 
     if (cfg_.autoscale) {
         // Feedback signal: the model latency the just-assigned request
         // is predicted to see, from the chosen replica's estimator.
-        estimates_.push(inner_[s]
-                            .estimators()[local]
-                            .lastAssignmentEstimateCycles());
+        estimates_.push(estimators_[r].lastAssignmentEstimateCycles());
     }
-    return base_[s] + local;
+    return r;
 }
 
 std::size_t
 FleetRouter::pickAlternate(Tick t, std::size_t exclude) const
 {
-    std::size_t s = shardOf(exclude);
-    std::size_t alt = inner_[s].pickAlternate(t, exclude - base_[s]);
-    return alt == kNoReplica ? kNoReplica : base_[s] + alt;
+    // Round-robin has no metric of its own: its hedge alternates rank
+    // by backlog like JSQ. The exclusion is checked first, so the
+    // hedged replica's breaker is never asked.
+    RoutingPolicy by = cfg_.replica_policy == RoutingPolicy::RoundRobin
+                           ? RoutingPolicy::JoinShortestQueue
+                           : cfg_.replica_policy;
+    const std::size_t s = shardOf(exclude);
+    const std::size_t b = base_[s];
+    std::size_t alt =
+        rankReplicas(by, slice(s), cursor_[s],
+                     [&](std::size_t i) {
+                         return b + i != exclude && available(b + i, t);
+                     })
+            .pick;
+    return alt == kNoReplica ? kNoReplica : b + alt;
 }
 
 void
 FleetRouter::assignTo(std::size_t r, Tick t)
 {
     std::size_t s = shardOf(r);
-    inner_[s].assignTo(r - base_[s], t);
+    estimators_[r].assign(t);
     if (shards_ > 1)
         shard_est_[s].assign(t); // the hedge copy loads its shard too
 }
@@ -271,28 +310,18 @@ FleetRouter::assignTo(std::size_t r, Tick t)
 void
 FleetRouter::drainAll(Tick t)
 {
-    for (auto &r : inner_)
-        r.drainAll(t);
+    for (auto &e : estimators_)
+        e.drainTo(t);
 }
 
 double
 FleetRouter::meanBacklog() const
 {
     double sum = 0.0;
-    for (const auto &r : inner_)
-        for (const auto &e : r.estimators())
-            sum += e.backlog();
+    for (const auto &e : estimators_)
+        sum += e.backlog();
     std::size_t n = cfg_.autoscale ? provisioned_ : cfg_.replicas;
     return sum / static_cast<double>(n);
-}
-
-std::uint64_t
-FleetRouter::reroutedCount() const
-{
-    std::uint64_t n = shard_rerouted_;
-    for (const auto &r : inner_)
-        n += r.reroutedCount();
-    return n;
 }
 
 void
@@ -368,7 +397,8 @@ FleetRouter::decide(Tick boundary)
     desired = clampCount(desired, cfg_.min_active, max_active_);
 
     if (desired != provisioned_ &&
-        (!acted_ || boundary >= last_action_ + cfg_.cooldown))
+        (!acted_ ||
+         boundary >= saturatingAdd(last_action_, cfg_.cooldown)))
         setProvisioned(boundary, desired);
 }
 
@@ -382,7 +412,7 @@ FleetRouter::setProvisioned(Tick boundary, std::size_t desired)
         // non-decreasing in the index, which shardAvailable's O(1)
         // gate depends on.
         for (std::size_t r = provisioned_; r < desired; ++r) {
-            routable_from_[r] = boundary + cfg_.warmup;
+            routable_from_[r] = saturatingAdd(boundary, cfg_.warmup);
             ever_active_[r] = 1;
         }
         ++stats_.scale_ups;
@@ -425,14 +455,24 @@ RouterResult
 FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
                    Tick max_ticks, const std::vector<RouterSurge> &surges)
 {
+    RouterResult res;
+    res.traces.resize(cfg_.replicas);
+    res.assigned.assign(cfg_.replicas, 0);
+
+    std::vector<Tick> ticks =
+        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
+    res.generated = ticks.size();
     beginRoute(max_ticks);
-    RouterResult res =
-        routeCandidates(cfg_.replicas, rate_per_cycle, seed, max_ticks,
-                        surges, [this](Tick t) { return pick(t); });
+    for (Tick t : ticks) {
+        std::size_t r = pick(t);
+        if (r != kNoReplica) {
+            res.traces[r].push_back(t);
+            ++res.assigned[r];
+        }
+    }
     finishRoute(max_ticks);
 
-    for (const auto &r : inner_)
-        res.shed += r.shedCount();
+    res.shed = shed_;
     res.rerouted = reroutedCount();
     return res;
 }

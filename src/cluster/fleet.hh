@@ -1,27 +1,26 @@
 /**
  * @file
- * Fleet layer: hierarchical sharded routing and SLO-aware autoscaling
- * on top of the flat Router; every cluster run routes through it.
+ * The routing engine: hierarchical sharded routing and SLO-aware
+ * autoscaling; every cluster run routes through one FleetRouter.
  *
- * At O(1024) replicas the flat router's per-candidate O(N) scans and
- * its single rotation/argmin become both a simulation cost and a
- * modeling lie (real fleets route through a shard tier). FleetRouter
- * splits the fleet into contiguous balanced shards, runs ONE flat
- * Router per shard, and adds a shard-level RoutingPolicy over per-shard
- * fluid estimators whose service rate is the shard's aggregate
- * capacity. A candidate picks a shard through the same rankReplicas
- * routine the inner routers use, then the shard's inner Router picks
- * the replica -- O(S + N/S) per candidate instead of O(N).
+ * At O(1024) replicas one flat rotation/argmin is both a simulation
+ * cost (an O(N) scan per candidate) and a modeling lie (real fleets
+ * route through a shard tier). FleetRouter splits the fleet into
+ * contiguous balanced shards and keeps ONE set of replica state
+ * indexed by global replica: the estimators, each replica's outage
+ * windows, one round-robin cursor per shard, and one shed and one
+ * re-route counter. A candidate picks a shard by a shard-level
+ * RoutingPolicy over per-shard fluid estimators whose service rate is
+ * the shard's aggregate capacity, then a replica by ranking that
+ * shard's slice of the estimators -- the same rankReplicas routine at
+ * both tiers, O(S + N/S) per candidate instead of O(N).
  *
- * Identity lemma (tests/test_fleet_differential.cc): with 1 shard the
- * shard tier is skipped and every pick calls the single inner Router
- * with the exact call sequence of the flat path -- shed path included
- * -- so a 1-shard fleet is byte-identical to the flat Router under
- * every policy, outage plan, and traffic shape.
+ * With one shard the shard tier is skipped and the replica tier ranks
+ * the whole fleet, so the flat router is simply the one-shard
+ * FleetRouter (`Router` below is that name, with a flat constructor).
  *
- * A ControlPlane owns its FleetRouter and reaches replicas through the
- * global-index forwarders below; its breakers veto on the replica tier
- * only (the shard tier reads them without side effects).
+ * A ControlPlane owns its FleetRouter; its breakers veto on the
+ * replica tier only (the shard tier reads them without side effects).
  *
  * The autoscaler is causal like every routing decision: it reads only
  * the router-side estimate stream and its own candidate counts, never
@@ -39,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,7 +65,7 @@ struct AutoscalerSpec
     std::size_t max_replicas = 0;
     /** Replicas active at t = 0; 0 = min_replicas. */
     std::size_t initial_replicas = 0;
-    /** p99 latency target the controller defends (> 0 when enabled). */
+    /** p99 latency target the controller defends (finite, > 0). */
     double target_p99_s = 0.0;
     /**
      * Scale down only when the observed p99 sits below
@@ -80,11 +80,13 @@ struct AutoscalerSpec
      * the baseline the over-provision accounting charges against.
      */
     double target_utilization = 0.85;
-    /** Controller decision cadence (> 0 when enabled). */
+    /** Controller decision cadence (finite, > 0). */
     double decision_interval_s = 1e-3;
-    /** Minimum spacing between consecutive scaling actions (>= 0). */
+    /** Minimum spacing between consecutive scaling actions (finite,
+     *  >= 0). */
     double cooldown_s = 3e-3;
-    /** Lag between activating a replica and it becoming routable. */
+    /** Lag between activating a replica and it becoming routable
+     *  (finite, >= 0). */
     double warmup_s = 5e-4;
     /** Sliding window of assignment-latency estimates (>= 1). */
     std::size_t estimate_window = 256;
@@ -121,10 +123,9 @@ struct AutoscalerStats
 struct FleetSpec
 {
     /**
-     * Shard count of the routing tier; 0 routes through one shard,
-     * which decides exactly like the flat Router, and reports no shard
-     * tier. Shards partition the replicas contiguously and balanced
-     * (sizes differ by <= 1).
+     * Shard count of the routing tier; 0 routes through one shard
+     * (the flat router) and reports no shard tier. Shards partition
+     * the replicas contiguously and balanced (sizes differ by <= 1).
      */
     std::size_t shards = 0;
     /** Policy of the shard tier (replica tier uses ClusterSpec's). */
@@ -143,7 +144,8 @@ struct FleetSpec
     std::vector<std::string> validate() const;
 };
 
-/** Two-level router: shard-level policy over per-shard flat Routers. */
+/** The routing engine: a shard-level pick, then a replica-level pick
+ *  within the shard, over one globally indexed set of replicas. */
 class FleetRouter
 {
   public:
@@ -174,20 +176,38 @@ class FleetRouter
         std::size_t min_samples = 16;
     };
 
+    /** @param outages planned dead windows the router routes around */
     FleetRouter(const Config &cfg, std::vector<RouterOutage> outages);
-    FleetRouter(const FleetRouter &) = delete; //!< filters hold `this`
-    FleetRouter &operator=(const FleetRouter &) = delete;
 
-    /** Route the global candidate stream; same contract as
-     *  Router::route, with global replica indices in the result. */
+    /**
+     * The flat router: one shard of @p replicas under @p policy.
+     * @param service_rate_per_cycle one replica's saturation request
+     *        rate in requests per cycle (feeds the estimators)
+     * @param latency_window sliding window of the latency-aware policy
+     */
+    FleetRouter(RoutingPolicy policy, std::size_t replicas,
+                double service_rate_per_cycle, std::size_t latency_window,
+                std::vector<RouterOutage> outages);
+
+    /**
+     * Draw the global candidate stream and route every candidate.
+     * @param rate_per_cycle aggregate candidate rate in arrivals per
+     *        cycle (bursty peak rate included); <= 0 yields no traffic
+     * @param seed the RunSpec seed (selects the ArrivalStream)
+     * @param max_ticks run horizon; generation stops at the first
+     *        candidate beyond it (which is still routed -- the event
+     *        loop dispatches one event past the horizon)
+     * @param surges optional arrival surge windows (flash crowds)
+     */
     RouterResult route(double rate_per_cycle, std::uint64_t seed,
                        Tick max_ticks,
                        const std::vector<RouterSurge> &surges = {});
 
     /**
      * Route one candidate at @p t: autoscaler bookkeeping, shard pick,
-     * inner replica pick; returns the global replica index or
-     * kNoReplica. Exposed for unit tests; route() calls this.
+     * replica pick within the shard; returns the replica or kNoReplica
+     * when the shard has no available replica (counted as shed).
+     * Exposed for unit tests; route() calls this.
      */
     std::size_t pick(Tick t);
 
@@ -203,29 +223,44 @@ class FleetRouter
 
     /** Veto replicas by breaker (one per replica, outliving this);
      *  null leaves only outages and the autoscaler. */
-    void setBreakers(std::vector<CircuitBreaker> *breakers);
-
-    // -- global-index forwarders to the owning shard's inner Router ---
-    bool
-    alive(std::size_t r, Tick t) const
+    void
+    setBreakers(std::vector<CircuitBreaker> *breakers)
     {
-        return innerOf(r).alive(localOf(r), t);
+        breakers_ = breakers;
     }
+
+    /** True unless @p r is inside a planned outage at @p t. */
+    bool alive(std::size_t r, Tick t) const;
     const ReplicaEstimator &
     estimator(std::size_t r) const
     {
-        return innerOf(r).estimators()[localOf(r)];
+        return estimators_[r];
     }
     /** Provisioned and warm (always true without the autoscaler). */
     bool routable(std::size_t replica, Tick t) const;
-    /** Hedge alternate within @p exclude's shard (no assign). */
+    /**
+     * The best available replica in @p exclude's shard other than
+     * @p exclude, by the policy metric (backlog, or window p99 for
+     * LatencyAware), ties to the lowest index; kNoReplica when none.
+     * Does NOT assign -- the hedging layer decides and then calls
+     * assignTo().
+     */
     std::size_t pickAlternate(Tick t, std::size_t exclude) const;
+    /** Account one (hedged) request assigned to @p r at @p t. */
     void assignTo(std::size_t r, Tick t);
+    /** Advance every replica estimator's fluid drain to @p t. */
     void drainAll(Tick t);
     /** Mean backlog per provisioned replica (after drainAll). */
     double meanBacklog() const;
+    /** Candidates dropped because their shard had no available
+     *  replica. */
+    std::uint64_t shedCount() const { return shed_; }
     /** Replica-tier plus shard-tier re-routes. */
-    std::uint64_t reroutedCount() const;
+    std::uint64_t
+    reroutedCount() const
+    {
+        return rerouted_ + shard_rerouted_;
+    }
 
     std::size_t shardCount() const { return shards_; }
     std::size_t shardOf(std::size_t replica) const;
@@ -236,8 +271,7 @@ class FleetRouter
         return base_[s + 1] - base_[s];
     }
 
-    /** Candidates whose first-choice SHARD was skipped (the inner
-     *  routers count their own replica-level re-routes). */
+    /** Candidates whose first-choice SHARD was skipped. */
     std::uint64_t shardRerouted() const { return shard_rerouted_; }
 
     /** True when @p replica was provisioned at any point of the run
@@ -247,14 +281,15 @@ class FleetRouter
     const AutoscalerStats &autoscalerStats() const { return stats_; }
 
   private:
-    /** shardOf() without the call on the one-shard fast path. */
-    std::size_t
-    ownerOf(std::size_t r) const
+    /** Outage, then autoscaler, then breaker: only a replica that is
+     *  alive and routable can move its breaker from Open to HalfOpen. */
+    bool available(std::size_t r, Tick t) const;
+    /** Shard @p s's replica estimators, indexed from base_[s]. */
+    std::span<const ReplicaEstimator>
+    slice(std::size_t s) const
     {
-        return shards_ == 1 ? 0 : shardOf(r);
+        return std::span(estimators_).subspan(base_[s], shardSize(s));
     }
-    const Router &innerOf(std::size_t r) const { return inner_[ownerOf(r)]; }
-    std::size_t localOf(std::size_t r) const { return r - base_[ownerOf(r)]; }
     bool shardAvailable(std::size_t s, Tick t) const;
     void onCandidate(Tick t);
     /** Feed-forward plan of the interval just closed (@p len ticks
@@ -267,13 +302,23 @@ class FleetRouter
     std::size_t shards_;
     /** base_[s] = first global replica of shard s; size shards_+1. */
     std::vector<std::size_t> base_;
-    std::vector<Router> inner_;
+
+    // -- replica tier, indexed by global replica ----------------------
+    std::vector<ReplicaEstimator> estimators_;
+    /** outages_[r] = replica r's planned dead windows. */
+    std::vector<std::vector<RouterOutage>> outages_;
+    /** Round-robin cursor of each shard, local to its slice. */
+    std::vector<std::size_t> cursor_;
+    std::uint64_t shed_ = 0;
+    std::uint64_t rerouted_ = 0;
+    std::vector<CircuitBreaker> *breakers_ = nullptr; //!< null = none
+
+    // -- shard tier (skipped with one shard) --------------------------
     std::vector<ReplicaEstimator> shard_est_;
     /** True when shard s has any outage window (fast-path gate). */
     std::vector<char> shard_has_outage_;
     std::size_t shard_rr_ = 0;
     std::uint64_t shard_rerouted_ = 0;
-    std::vector<CircuitBreaker> *breakers_ = nullptr; //!< null = none
 
     // -- autoscaler state (untouched when cfg_.autoscale is false) ----
     /** First tick replica r serves; kNeverTick = not provisioned. */
@@ -291,6 +336,9 @@ class FleetRouter
     stats::SlidingWindow estimates_{1};
     AutoscalerStats stats_;
 };
+
+/** The flat router is the one-shard engine. */
+using Router = FleetRouter;
 
 } // namespace cluster
 } // namespace equinox

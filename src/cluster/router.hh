@@ -1,7 +1,8 @@
 /**
  * @file
- * The cluster front-end: generates the global inference arrival stream
- * and splits it into one candidate tick trace per replica.
+ * The cluster front-end's building blocks: the global inference
+ * arrival stream, the routing result, and the one ranking routine the
+ * FleetRouter (cluster/fleet.hh) runs at both of its tiers.
  *
  * The global stream is sim::ArrivalStream's stream 0, the one an
  * accelerator's service 0 draws, so a 1-replica cluster hands its only
@@ -18,7 +19,7 @@
 #define EQUINOX_CLUSTER_ROUTER_HH
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "cluster/routing_policy.hh"
@@ -29,7 +30,7 @@ namespace equinox
 namespace cluster
 {
 
-/** Returned by Router::pick when no healthy replica exists. */
+/** Returned by FleetRouter::pick when no healthy replica exists. */
 constexpr std::size_t kNoReplica = static_cast<std::size_t>(-1);
 
 /** One planned replica outage, in absolute ticks [from, to). */
@@ -96,9 +97,9 @@ struct RankedPick
 };
 
 /**
- * The routing tier's one ranking routine: the replica tier (Router)
- * ranks its replicas with it, the shard tier (FleetRouter) its shards
- * (DESIGN.md section 2.4).
+ * The routing tier's one ranking routine: the FleetRouter ranks a
+ * shard's slice of its replicas with it, and its shards (DESIGN.md
+ * section 2.4). Indices are positions in @p estimators.
  *
  * RoundRobin: the blind choice is @p cursor; availability is queried
  * from the cursor onwards and the first available index wins. The
@@ -116,7 +117,7 @@ struct RankedPick
 template <typename Available>
 RankedPick
 rankReplicas(RoutingPolicy policy,
-             const std::vector<ReplicaEstimator> &estimators,
+             std::span<const ReplicaEstimator> estimators,
              std::size_t cursor, Available &&available)
 {
     const std::size_t n = estimators.size();
@@ -151,123 +152,6 @@ rankReplicas(RoutingPolicy policy,
     }
     return res;
 }
-
-/**
- * The routing tier's one candidate loop: draw the global stream and
- * hand each candidate to @p pick, which returns a replica index or
- * kNoReplica. Fills traces, assigned and generated; the caller adds
- * its own shed and rerouted counts.
- */
-template <typename Pick>
-RouterResult
-routeCandidates(std::size_t replicas, double rate_per_cycle,
-                std::uint64_t seed, Tick max_ticks,
-                const std::vector<RouterSurge> &surges, Pick &&pick)
-{
-    RouterResult res;
-    res.traces.resize(replicas);
-    res.assigned.assign(replicas, 0);
-
-    std::vector<Tick> ticks =
-        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
-    res.generated = ticks.size();
-    for (Tick t : ticks) {
-        std::size_t r = pick(t);
-        if (r != kNoReplica) {
-            res.traces[r].push_back(t);
-            ++res.assigned[r];
-        }
-    }
-    return res;
-}
-
-/** Splits the global arrival stream across replicas by policy. */
-class Router
-{
-  public:
-    /**
-     * @param policy replica-selection strategy
-     * @param replicas replica count (>= 1)
-     * @param service_rate_per_cycle one replica's saturation request
-     *        rate in requests per cycle (feeds the estimators)
-     * @param latency_window sliding window of the latency-aware policy
-     * @param outages planned dead windows the router routes around
-     */
-    Router(RoutingPolicy policy, std::size_t replicas,
-           double service_rate_per_cycle, std::size_t latency_window,
-           std::vector<RouterOutage> outages);
-
-    /**
-     * Draw the global candidate stream and route every candidate.
-     * @param rate_per_cycle aggregate candidate rate in arrivals per
-     *        cycle (bursty peak rate included); <= 0 yields no traffic
-     * @param seed the RunSpec seed (selects the ArrivalStream)
-     * @param max_ticks run horizon; generation stops at the first
-     *        candidate beyond it (which is still routed -- the event
-     *        loop dispatches one event past the horizon)
-     * @param surges optional arrival surge windows (flash crowds)
-     */
-    RouterResult route(double rate_per_cycle, std::uint64_t seed,
-                       Tick max_ticks,
-                       const std::vector<RouterSurge> &surges = {});
-
-    /**
-     * Route one candidate at @p t: updates the estimators and health
-     * view, returns the chosen replica or kNoReplica when every
-     * replica is down. Exposed for unit tests; route() calls this.
-     */
-    std::size_t pick(Tick t);
-
-    /** True when @p replica is inside a planned outage at @p t. */
-    bool alive(std::size_t replica, Tick t) const;
-
-    /**
-     * Install a veto consulted on top of the outage windows (the
-     * FleetRouter's autoscaler and circuit-breaker filter). A vetoed
-     * replica is skipped by pick() exactly like a dead one; alive()
-     * itself stays outage-only so health checks observe the raw
-     * outage state.
-     */
-    void
-    setAvailabilityFilter(std::function<bool(std::size_t, Tick)> filter)
-    {
-        filter_ = std::move(filter);
-    }
-
-    /** Advance every estimator's fluid drain to @p t. */
-    void drainAll(Tick t);
-
-    /**
-     * The best available replica other than @p exclude by the policy
-     * metric (backlog, or window p99 for LatencyAware), ties to the
-     * lowest index; kNoReplica when none. Does NOT assign -- the
-     * hedging layer decides and then calls assignTo().
-     */
-    std::size_t pickAlternate(Tick t, std::size_t exclude) const;
-
-    /** Account one (hedged) request assigned to @p r at @p t. */
-    void assignTo(std::size_t r, Tick t);
-
-    const std::vector<ReplicaEstimator> &estimators() const
-    {
-        return estimators_;
-    }
-
-    std::uint64_t shedCount() const { return shed_; }
-    std::uint64_t reroutedCount() const { return rerouted_; }
-
-  private:
-    bool available(std::size_t replica, Tick t) const;
-
-    RoutingPolicy policy_;
-    std::size_t replicas_;
-    std::vector<ReplicaEstimator> estimators_;
-    std::vector<RouterOutage> outages_;
-    std::function<bool(std::size_t, Tick)> filter_;
-    std::size_t rr_next_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t rerouted_ = 0;
-};
 
 } // namespace cluster
 } // namespace equinox

@@ -86,7 +86,7 @@ class ReplicaEstimator
      * The latency estimate recorded for the most recent assignment --
      * i.e. the model latency THAT request is predicted to see. The
      * control plane's deadline accounting and hedging threshold read
-     * it right after Router::pick()/assignTo(). 0 before any
+     * it right after FleetRouter::pick()/assignTo(). 0 before any
      * assignment.
      */
     double

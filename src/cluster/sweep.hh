@@ -67,8 +67,8 @@ void addResiliencePoint(obs::MetricsSnapshot &snap,
  * per-SHARD rows (a 1024-replica fleet exports ~32 shard rows, not
  * 1024 replica rows), and the autoscaler's decision accounting
  * (scale events, provisioned envelope, over-provision fraction).
- * Points routed by the flat Router export the headline numbers with
- * shards = 0 and no shard rows.
+ * Points routed without a shard tier or autoscaler export the headline
+ * numbers with shards = 0 and no shard rows.
  */
 void addFleetPoint(obs::MetricsSnapshot &snap, const std::string &label,
                    const cluster::ClusterPointResult &r);

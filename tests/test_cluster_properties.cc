@@ -138,33 +138,49 @@ TEST(Router, ShedsWhenEveryReplicaIsDown)
 TEST(Router, AvailabilityFilterIsQueriedInContractOrder)
 {
     // The control plane's breakers change state when asked, so which
-    // replicas the filter is asked about, and in what order, is part
-    // of the routing contract (DESIGN.md section 2.4). Replica 1 is
-    // vetoed throughout.
+    // replicas the availability predicate is asked about, and in what
+    // order, is part of the routing contract (DESIGN.md section 2.4).
+    // Replica 1 is vetoed throughout.
     std::vector<std::size_t> asked;
-    auto filter = [&asked](std::size_t r, Tick) {
+    auto available = [&asked](std::size_t r) {
         asked.push_back(r);
         return r != 1;
     };
+    std::vector<cluster::ReplicaEstimator> est(
+        4, cluster::ReplicaEstimator(0.01, 4));
 
     // Round-robin: from the cursor up to the first available replica.
-    cluster::Router rr(cluster::RoutingPolicy::RoundRobin, 4, 0.01, 4,
-                       {});
-    rr.setAvailabilityFilter(filter);
-    EXPECT_EQ(rr.pick(1), 0u);
-    EXPECT_EQ(rr.pick(2), 2u);
-    EXPECT_EQ(rr.pick(3), 3u);
+    std::size_t cursor = 0;
+    auto rr = [&] {
+        cluster::RankedPick p = cluster::rankReplicas(
+            cluster::RoutingPolicy::RoundRobin, est, cursor, available);
+        cursor = p.cursor;
+        return p.pick;
+    };
+    EXPECT_EQ(rr(), 0u);
+    EXPECT_EQ(rr(), 2u);
+    EXPECT_EQ(rr(), 3u);
     EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1, 2, 3}));
 
     // Min-metric policies: every replica, ascending, on every pick; a
-    // hedge alternate skips only the excluded replica.
+    // hedge alternate (FleetRouter::pickAlternate) rules out the
+    // excluded replica before asking, so only that one is skipped.
     asked.clear();
-    cluster::Router jsq(cluster::RoutingPolicy::JoinShortestQueue, 4, 0.01,
-                        4, {});
-    jsq.setAvailabilityFilter(filter);
-    EXPECT_EQ(jsq.pick(1), 0u);
-    EXPECT_EQ(jsq.pick(2), 2u);
-    EXPECT_EQ(jsq.pickAlternate(2, 2), 3u);
+    auto jsq = [&](Tick t, std::size_t exclude) {
+        for (auto &e : est)
+            e.drainTo(t);
+        return cluster::rankReplicas(
+                   cluster::RoutingPolicy::JoinShortestQueue, est, 0,
+                   [&](std::size_t r) {
+                       return r != exclude && available(r);
+                   })
+            .pick;
+    };
+    EXPECT_EQ(jsq(1, cluster::kNoReplica), 0u);
+    est[0].assign(1);
+    EXPECT_EQ(jsq(2, cluster::kNoReplica), 2u);
+    est[2].assign(2);
+    EXPECT_EQ(jsq(2, 2), 3u);
     EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1, 2, 3, 0, 1, 2, 3, 0,
                                                1, 3}));
 }

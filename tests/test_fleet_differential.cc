@@ -3,10 +3,11 @@
  * Differential tests pinning the fleet tier to the flat cluster layer
  * it is built from:
  *
- *  - a 1-shard FleetRouter is byte-identical to the flat Router under
- *    every (replica policy x shard policy) pair, including outage
- *    windows, a full blackout (the shed path must advance the same
- *    round-robin cursor), and surge windows,
+ *  - a 1-shard FleetRouter, from either constructor, is byte-identical
+ *    to a naive flat router kept in this file under every (replica
+ *    policy x shard policy) pair, including outage windows, a full
+ *    blackout (the shed path must advance the same round-robin
+ *    cursor), and surge windows,
  *  - a 1-shard fleet Cluster run is byte-identical to the flat path
  *    under chaos plans, traffic mixes, and training placement,
  *  - with several shards and every replica dark, the candidate goes
@@ -74,6 +75,53 @@ oneShardConfig(cluster::RoutingPolicy policy,
     return fc;
 }
 
+/**
+ * The flat router written out independently of the engine: a plain
+ * estimator vector, a linear scan of the whole outage plan, one
+ * round-robin cursor, and rankReplicas.
+ */
+cluster::RouterResult
+naiveFlatRoute(cluster::RoutingPolicy policy, std::size_t n, double mu,
+               std::size_t window,
+               const std::vector<cluster::RouterOutage> &outages,
+               double rate, std::uint64_t seed, Tick horizon,
+               const std::vector<cluster::RouterSurge> &surges)
+{
+    std::vector<cluster::ReplicaEstimator> est(
+        n, cluster::ReplicaEstimator(mu, window));
+    auto alive = [&outages](std::size_t r, Tick t) {
+        for (const auto &o : outages)
+            if (o.replica == r && t >= o.from && t < o.to)
+                return false;
+        return true;
+    };
+
+    cluster::RouterResult res;
+    res.traces.resize(n);
+    res.assigned.assign(n, 0);
+    std::size_t cursor = 0;
+    for (Tick t :
+         cluster::generateCandidateTicks(rate, seed, horizon, surges)) {
+        ++res.generated;
+        for (auto &e : est)
+            e.drainTo(t);
+        cluster::RankedPick p = cluster::rankReplicas(
+            policy, est, cursor,
+            [&](std::size_t r) { return alive(r, t); });
+        cursor = p.cursor;
+        if (p.rerouted())
+            ++res.rerouted;
+        if (p.pick == cluster::kNoReplica) {
+            ++res.shed;
+            continue;
+        }
+        est[p.pick].assign(t);
+        res.traces[p.pick].push_back(t);
+        ++res.assigned[p.pick];
+    }
+    return res;
+}
+
 /** Every behavioural field of two cluster points, compared bitwise
  *  (the fleet-tier reporting fields are intentionally excluded: the
  *  two sides route through different code paths and only the fleet
@@ -121,8 +169,8 @@ expectCoreEqual(const cluster::ClusterPointResult &a,
 }
 
 // ---------------------------------------------------------------------
-// 1-shard FleetRouter == flat Router, every policy pair, with outages
-// (including a full blackout) and surge windows.
+// 1-shard FleetRouter == the naive flat router, every policy pair,
+// with outages (including a full blackout) and surge windows.
 
 TEST(FleetDifferential, OneShardRouterMatchesFlatEveryPolicy)
 {
@@ -133,7 +181,7 @@ TEST(FleetDifferential, OneShardRouterMatchesFlatEveryPolicy)
 
     // Per-replica outages, plus a window where EVERY replica is dark:
     // the flat router sheds there while still advancing its rotation
-    // cursor, and the hierarchy must do exactly the same.
+    // cursor, and the engine must do exactly the same.
     std::vector<cluster::RouterOutage> outages;
     outages.push_back({1, 10000, 90000});
     outages.push_back({4, 150000, 230000});
@@ -143,23 +191,28 @@ TEST(FleetDifferential, OneShardRouterMatchesFlatEveryPolicy)
     std::vector<cluster::RouterSurge> surges = {
         {120000, 200000, 3.0}, {300000, 340000, 2.0}};
 
+    auto expectSame = [](const cluster::RouterResult &a,
+                         const cluster::RouterResult &b) {
+        EXPECT_EQ(a.generated, b.generated);
+        EXPECT_EQ(a.traces, b.traces);
+        EXPECT_EQ(a.assigned, b.assigned);
+        EXPECT_EQ(a.shed, b.shed);
+        EXPECT_EQ(a.rerouted, b.rerouted);
+    };
     for (auto policy : cluster::allRoutingPolicies()) {
-        for (auto shard_policy : cluster::allRoutingPolicies()) {
-            cluster::Router flat(policy, n, mu, window, outages);
-            cluster::RouterResult a =
-                flat.route(6.0e-4, 99, horizon, surges);
+        cluster::RouterResult ref = naiveFlatRoute(
+            policy, n, mu, window, outages, 6.0e-4, 99, horizon, surges);
+        EXPECT_GT(ref.shed, 0u) << "the blackout saw no traffic";
+        EXPECT_GT(ref.rerouted, 0u) << "the outages saw no traffic";
 
+        cluster::Router flat(policy, n, mu, window, outages);
+        expectSame(ref, flat.route(6.0e-4, 99, horizon, surges));
+
+        for (auto shard_policy : cluster::allRoutingPolicies()) {
             cluster::FleetRouter fleet(
                 oneShardConfig(policy, shard_policy, n, mu, window),
                 outages);
-            cluster::RouterResult b =
-                fleet.route(6.0e-4, 99, horizon, surges);
-
-            EXPECT_EQ(a.generated, b.generated);
-            EXPECT_EQ(a.traces, b.traces);
-            EXPECT_EQ(a.assigned, b.assigned);
-            EXPECT_EQ(a.shed, b.shed);
-            EXPECT_EQ(a.rerouted, b.rerouted);
+            expectSame(ref, fleet.route(6.0e-4, 99, horizon, surges));
             EXPECT_EQ(fleet.shardRerouted(), 0u);
         }
     }

@@ -638,6 +638,78 @@ TEST(FleetProperties, AutoscalerTracksAFlashCrowd)
     EXPECT_GT(st.needed_replica_ticks, 0.0);
 }
 
+/**
+ * A one-shard round-robin fleet of 8 that starts on one replica and
+ * follows its feed-forward plan only (min_samples above the estimate
+ * window keeps the feedback term off). Decisions every 100 ticks; one
+ * replica covers 0.85 candidates per interval.
+ */
+cluster::FleetRouter::Config
+feedForwardFleet()
+{
+    cluster::FleetRouter::Config fc;
+    fc.replicas = 8;
+    fc.service_rate_per_cycle = 0.01;
+    fc.autoscale = true;
+    fc.min_active = 1;
+    fc.initial_active = 1;
+    fc.target_p99_cycles = 1e9;
+    fc.decision_interval = 100;
+    fc.estimate_window = 4;
+    fc.min_samples = 8;
+    return fc;
+}
+
+/** Pick @p per_interval evenly spaced candidates in every 100-tick
+ *  decision interval of [from, to); returns the picks. */
+std::vector<std::size_t>
+pickEvenly(cluster::FleetRouter &fr, Tick from, Tick to,
+           Tick per_interval)
+{
+    std::vector<std::size_t> picks;
+    for (Tick b = from; b < to; b += 100)
+        for (Tick k = 0; k < per_interval; ++k)
+            picks.push_back(fr.pick(b + 1 + k * (100 / per_interval)));
+    return picks;
+}
+
+TEST(FleetProperties, SaturatedCooldownActsOnce)
+{
+    // cooldown = kTickMax: after the first action (at tick 100) the
+    // cooldown end saturates at "never" rather than wrapping to tick
+    // 99, so a later 3x surge cannot trigger a second action.
+    cluster::FleetRouter::Config fc = feedForwardFleet();
+    fc.cooldown = kTickMax;
+    cluster::FleetRouter fr(fc, {});
+    fr.beginRoute(2000);
+    pickEvenly(fr, 0, 1000, 2); // plan: 3 replicas
+    pickEvenly(fr, 1000, 2000, 6); // plan: all 8
+    fr.finishRoute(2000);
+
+    const cluster::AutoscalerStats &st = fr.autoscalerStats();
+    ASSERT_EQ(st.transitions.size(), 1u);
+    EXPECT_EQ(st.transitions[0], (std::pair<Tick, std::size_t>{100, 3}));
+    EXPECT_EQ(st.final_active, 3u);
+}
+
+TEST(FleetProperties, SaturatedWarmupNeverServes)
+{
+    // warmup = kTickMax: replicas activated at tick 100 become
+    // routable "never" rather than at tick 99, so replica 0 keeps
+    // taking every candidate.
+    cluster::FleetRouter::Config fc = feedForwardFleet();
+    fc.warmup = kTickMax;
+    cluster::FleetRouter fr(fc, {});
+    fr.beginRoute(1000);
+    std::vector<std::size_t> picks = pickEvenly(fr, 0, 1000, 2);
+    fr.finishRoute(1000);
+
+    EXPECT_EQ(fr.autoscalerStats().max_active, 3u);
+    EXPECT_TRUE(fr.everActive(1));
+    EXPECT_FALSE(fr.routable(1, 999));
+    EXPECT_EQ(picks, std::vector<std::size_t>(picks.size(), 0));
+}
+
 // ---------------------------------------------------------------------
 // Traffic mixes: the factor algebra behind the arrival shaping.
 

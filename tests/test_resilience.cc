@@ -321,11 +321,14 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
     // Every bound is written so that NaN fails it: a NaN knob that
     // slipped through would reach a double-to-Tick cast (backoff,
     // cooldown, warm-up) or a comparison that is silently false.
+    // Rows marked finite also reject +-inf, which would saturate a
+    // Tick and silently switch their mechanism off.
     struct Knob
     {
         const char *field; //!< substring the error must contain
         double valid;
         void (*set)(cluster::ClusterSpec &, double);
+        bool finite = false;
     };
     using cluster::AdmissionPolicy;
     using Spec = cluster::ClusterSpec;
@@ -334,12 +337,14 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
          [](Spec &c, double v) {
              c.resilience.retry.enabled = true;
              c.resilience.retry.backoff_multiplier = v;
-         }},
+         },
+         true},
         {"retry.jitter_frac", 0.25,
          [](Spec &c, double v) {
              c.resilience.retry.enabled = true;
              c.resilience.retry.jitter_frac = v;
-         }},
+         },
+         true},
         {"retry.max_budget", 32.0,
          [](Spec &c, double v) {
              c.resilience.retry.enabled = true;
@@ -401,18 +406,33 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
              c.resilience.breaker.enabled = true;
              c.resilience.breaker.latency_trip_cycles = v;
          }},
+        {"autoscaler target_p99_s", 1e-3,
+         [](Spec &c, double v) {
+             c.fleet.autoscaler.enabled = true;
+             c.fleet.autoscaler.target_p99_s = v;
+         },
+         true},
+        {"autoscaler decision_interval_s", 1e-3,
+         [](Spec &c, double v) {
+             c.fleet.autoscaler.enabled = true;
+             c.fleet.autoscaler.target_p99_s = 1e-3;
+             c.fleet.autoscaler.decision_interval_s = v;
+         },
+         true},
         {"autoscaler cooldown_s", 3e-3,
          [](Spec &c, double v) {
              c.fleet.autoscaler.enabled = true;
              c.fleet.autoscaler.target_p99_s = 1e-3;
              c.fleet.autoscaler.cooldown_s = v;
-         }},
+         },
+         true},
         {"autoscaler warmup_s", 5e-4,
          [](Spec &c, double v) {
              c.fleet.autoscaler.enabled = true;
              c.fleet.autoscaler.target_p99_s = 1e-3;
              c.fleet.autoscaler.warmup_s = v;
-         }},
+         },
+         true},
         {"burst_factor", 4.0,
          [](Spec &c, double v) { c.burst_factor = v; }},
         {"burst_period_s", 2e-3,
@@ -431,14 +451,24 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
              c.outages = {{1, 1e-3, v}};
          }},
     };
+    const double inf = std::numeric_limits<double>::infinity();
     for (const auto &k : knobs) {
         Spec ok;
         k.set(ok, k.valid);
         EXPECT_TRUE(ok.validate().empty()) << k.field;
 
-        Spec bad;
-        k.set(bad, std::numeric_limits<double>::quiet_NaN());
-        EXPECT_TRUE(anyErrorContains(bad.validate(), k.field)) << k.field;
+        std::vector<double> bad_values = {
+            std::numeric_limits<double>::quiet_NaN()};
+        if (k.finite) {
+            bad_values.push_back(inf);
+            bad_values.push_back(-inf);
+        }
+        for (double v : bad_values) {
+            Spec bad;
+            k.set(bad, v);
+            EXPECT_TRUE(anyErrorContains(bad.validate(), k.field))
+                << k.field << " = " << v;
+        }
     }
 }
 
@@ -486,6 +516,41 @@ TEST(AdmissionController, CoDelShedsOnlyAfterSustainedExcursion)
     EXPECT_EQ(ctl.stats().shed_queue, shed);
     // Drops stay paced (interval/sqrt(n)), nowhere near one-per-tick.
     EXPECT_LT(shed, 200u);
+}
+
+TEST(AdmissionController, CoDelFirstDropDeadlineSaturates)
+{
+    // interval / sqrt(2) past a late first drop lies beyond the last
+    // Tick: the next drop saturates at "never" instead of wrapping to
+    // a tick already passed, which would shed the very next offer.
+    cluster::AdmissionConfig cfg;
+    cfg.policy = cluster::AdmissionPolicy::QueueDepth;
+    cfg.interval_cycles = Tick{1} << 63;
+    cluster::AdmissionController ctl(cfg, 0.0);
+    const Tick late = 13'000'000'000'000'000'000ull;
+
+    EXPECT_TRUE(ctl.offer(1, false, 10.0)); // excursion starts
+    EXPECT_FALSE(ctl.offer(late, false, 10.0)); // first drop
+    EXPECT_TRUE(ctl.offer(late + 1, false, 10.0));
+    EXPECT_EQ(ctl.stats().shed_queue, 1u);
+}
+
+TEST(AdmissionController, CoDelLaterDropDeadlineSaturates)
+{
+    // The first drop's deadline fits in a Tick; the second drop's,
+    // interval / sqrt(3) later, does not and must saturate too.
+    cluster::AdmissionConfig cfg;
+    cfg.policy = cluster::AdmissionPolicy::QueueDepth;
+    cfg.interval_cycles = Tick{1} << 63;
+    cluster::AdmissionController ctl(cfg, 0.0);
+    const Tick first = (Tick{1} << 63) + 1;
+    const Tick second = 16'000'000'000'000'000'000ull;
+
+    EXPECT_TRUE(ctl.offer(1, false, 10.0));
+    EXPECT_FALSE(ctl.offer(first, false, 10.0));
+    EXPECT_FALSE(ctl.offer(second, false, 10.0));
+    EXPECT_TRUE(ctl.offer(second + 1, false, 10.0));
+    EXPECT_EQ(ctl.stats().shed_queue, 2u);
 }
 
 TEST(AdmissionController, PriorityShedsBackgroundBeforeInference)
@@ -644,8 +709,8 @@ TEST(CircuitBreaker, ShardTierNeverMovesABreaker)
 {
     // Two shards of two replicas, every breaker Open past its
     // cooldown. Ranking the shards must leave all four Open; only the
-    // chosen shard's inner router calls allows(), which moves its
-    // members to HalfOpen.
+    // replica tier calls allows(), inside the chosen shard, which
+    // moves its members to HalfOpen.
     cluster::BreakerConfig bc;
     bc.enabled = true;
     bc.trip_failures = 1;
@@ -671,6 +736,72 @@ TEST(CircuitBreaker, ShardTierNeverMovesABreaker)
     EXPECT_EQ(breakers[1].state(), State::HalfOpen);
     EXPECT_EQ(breakers[2].state(), State::Open);
     EXPECT_EQ(breakers[3].state(), State::Open);
+}
+
+TEST(CircuitBreaker, ReplicaTierAsksOnlyAliveRoutableCandidates)
+{
+    // Four replicas, every breaker Open past its cooldown; replica 1
+    // is in an outage and replica 3 is not provisioned. A hedge
+    // alternate for replica 0 asks allows() of replica 2 only: the
+    // exclusion, the outage and the autoscaler are checked first, so
+    // breakers 0, 1 and 3 stay Open.
+    cluster::BreakerConfig bc;
+    bc.enabled = true;
+    bc.trip_failures = 1;
+    bc.probe_interval_cycles = 1;
+    bc.cooldown_cycles = 10;
+    std::vector<cluster::CircuitBreaker> breakers(
+        4, cluster::CircuitBreaker(bc));
+    for (auto &b : breakers)
+        b.observe(0, false);
+
+    cluster::FleetRouter::Config fc;
+    fc.replicas = 4;
+    fc.replica_policy = cluster::RoutingPolicy::JoinShortestQueue;
+    fc.service_rate_per_cycle = 1e-3;
+    fc.autoscale = true;
+    fc.initial_active = 3;
+    fc.target_p99_cycles = 1000.0;
+    cluster::FleetRouter fleet(fc, {{1, 0, 100}});
+    fleet.setBreakers(&breakers);
+
+    EXPECT_EQ(fleet.pickAlternate(20, 0), 2u);
+    using State = cluster::CircuitBreaker::State;
+    EXPECT_EQ(breakers[0].state(), State::Open);
+    EXPECT_EQ(breakers[1].state(), State::Open);
+    EXPECT_EQ(breakers[2].state(), State::HalfOpen);
+    EXPECT_EQ(breakers[3].state(), State::Open);
+}
+
+TEST(CircuitBreaker, SaturatedCooldownNeverReopens)
+{
+    // cooldown_cycles = kTickMax from a trip at t > 0: the end of the
+    // cooldown saturates at "never" instead of wrapping to t - 1.
+    cluster::BreakerConfig bc;
+    bc.enabled = true;
+    bc.trip_failures = 1;
+    bc.cooldown_cycles = kTickMax;
+    cluster::CircuitBreaker b(bc);
+    b.observe(5, false);
+    ASSERT_EQ(b.state(), cluster::CircuitBreaker::State::Open);
+    EXPECT_FALSE(b.allows(10));
+    EXPECT_EQ(b.state(), cluster::CircuitBreaker::State::Open);
+}
+
+TEST(CircuitBreaker, SaturatedProbeIntervalTakesOneProbe)
+{
+    // probe_interval_cycles = kTickMax: after the first probe at
+    // t > 0 every later one is rate-limited away, so a bad probe
+    // cannot trip the breaker.
+    cluster::BreakerConfig bc;
+    bc.enabled = true;
+    bc.trip_failures = 1;
+    bc.probe_interval_cycles = kTickMax;
+    cluster::CircuitBreaker b(bc);
+    b.observe(5, true);
+    b.observe(10, false);
+    EXPECT_EQ(b.state(), cluster::CircuitBreaker::State::Closed);
+    EXPECT_EQ(b.opens(), 0u);
 }
 
 // ---------------------------------------------------------------------
