@@ -48,21 +48,25 @@ AdmissionConfig::validate() const
         complain("admission.background_fraction must be in [0, 1] "
                  "(got ", background_fraction, ")");
     }
+    // Each knob below also rejects +-inf: an infinite rate, bucket or
+    // threshold silently switches its policy off.
     if (policy == AdmissionPolicy::TokenBucket &&
-        !(rate_factor > 0.0)) {
-        complain("admission.rate_factor must be positive with the "
-                 "token_bucket policy (got ", rate_factor,
+        (!(rate_factor > 0.0) || !std::isfinite(rate_factor))) {
+        complain("admission.rate_factor must be finite and positive "
+                 "with the token_bucket policy (got ", rate_factor,
                  "); 0 would admit nothing, ever");
     }
-    if (policy == AdmissionPolicy::TokenBucket && !(burst >= 1.0)) {
-        complain("admission.burst must be >= 1 with the token_bucket "
-                 "policy (got ", burst,
+    if (policy == AdmissionPolicy::TokenBucket &&
+        (!(burst >= 1.0) || !std::isfinite(burst))) {
+        complain("admission.burst must be finite and >= 1 with the "
+                 "token_bucket policy (got ", burst,
                  "); the bucket must hold at least one request");
     }
     if (policy == AdmissionPolicy::QueueDepth &&
-        !(target_backlog > 0.0)) {
-        complain("admission.target_backlog must be positive with the "
-                 "queue_depth policy (got ", target_backlog, ")");
+        (!(target_backlog > 0.0) || !std::isfinite(target_backlog))) {
+        complain("admission.target_backlog must be finite and positive "
+                 "with the queue_depth policy (got ", target_backlog,
+                 ")");
     }
     if (policy == AdmissionPolicy::QueueDepth && interval_cycles == 0) {
         complain("admission.interval_cycles must be >= 1 with the "
@@ -75,10 +79,11 @@ AdmissionConfig::validate() const
                      "with the priority_shed policy (got ",
                      background_watermark, ")");
         }
-        if (!(inference_watermark > background_watermark)) {
+        if (!(inference_watermark > background_watermark) ||
+            !std::isfinite(inference_watermark)) {
             complain("admission.inference_watermark (",
                      inference_watermark,
-                     ") must exceed background_watermark (",
+                     ") must be finite and exceed background_watermark (",
                      background_watermark,
                      ") or background is never shed first");
         }

@@ -1,5 +1,6 @@
 #include "cluster/circuit_breaker.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -41,10 +42,11 @@ BreakerConfig::validate() const
                  "breaker is enabled, else HalfOpen closes without "
                  "evidence");
     }
-    if (!(latency_trip_cycles >= 0.0)) {
-        complain("breaker.latency_trip_cycles must be >= 0 (got ",
-                 latency_trip_cycles, "); 0 disables the latency "
-                 "signal");
+    if (!(latency_trip_cycles >= 0.0) ||
+        !std::isfinite(latency_trip_cycles)) {
+        complain("breaker.latency_trip_cycles must be finite and >= 0 "
+                 "(got ", latency_trip_cycles, "); 0 disables the "
+                 "latency signal");
     }
     return errors;
 }

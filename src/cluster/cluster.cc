@@ -36,11 +36,14 @@ ClusterSpec::validate() const
         errors.push_back("replicas must be >= 1");
     if (latency_window < 1)
         errors.push_back("latency_window must be >= 1");
-    if (!(burst_factor >= 1.0))
-        errors.push_back("burst_factor must be >= 1");
+    // An infinite burst factor draws a candidate every tick, and an
+    // infinite period saturates into Poisson at the peak rate.
+    if (!(burst_factor >= 1.0) || !std::isfinite(burst_factor))
+        errors.push_back("burst_factor must be finite and >= 1");
     if (arrival_process == sim::ArrivalProcess::Bursty &&
-        !(burst_period_s > 0.0))
-        errors.push_back("bursty arrivals need burst_period_s > 0");
+        (!(burst_period_s > 0.0) || !std::isfinite(burst_period_s)))
+        errors.push_back(
+            "bursty arrivals need a finite burst_period_s > 0");
     for (const auto &o : outages) {
         if (o.replica >= replicas)
             errors.push_back("outage names replica " +

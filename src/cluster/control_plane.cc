@@ -101,11 +101,12 @@ ResilienceSpec::validate() const
         }
     }
     if (hedge.enabled) {
-        if (!(hedge.latency_factor > 0.0)) {
-            complain("hedge.latency_factor must be > 0 when hedging is "
-                     "enabled (got ", hedge.latency_factor,
+        if (!(hedge.latency_factor > 0.0) ||
+            !std::isfinite(hedge.latency_factor)) {
+            complain("hedge.latency_factor must be > 0 and finite when "
+                     "hedging is enabled (got ", hedge.latency_factor,
                      "); a non-positive threshold hedges every "
-                     "request");
+                     "request, an infinite one never hedges");
         }
         if (hedge.window == 0) {
             complain("hedge.window must be >= 1 when hedging is "
@@ -126,11 +127,13 @@ ResilienceSpec::validate() const
         }
     }
     if (shed_training_under_overload &&
-        !(training_shed_backlog > 0.0)) {
-        complain("training_shed_backlog must be positive when "
-                 "shed_training_under_overload is set (got ",
+        (!(training_shed_backlog > 0.0) ||
+         !std::isfinite(training_shed_backlog))) {
+        complain("training_shed_backlog must be finite and positive "
+                 "when shed_training_under_overload is set (got ",
                  training_shed_backlog,
-                 "); a zero threshold sheds training permanently");
+                 "); a zero threshold sheds training permanently, an "
+                 "infinite one never sheds it");
     }
     return errors;
 }

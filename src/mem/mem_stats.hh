@@ -2,8 +2,8 @@
  * @file
  * A plain snapshot of the memory hierarchy's counters, taken once per
  * run and carried in SimResult's diagnostics section. Deliberately a
- * dumb aggregate: the digest fold must never see these fields, and the
- * stats/obs layer reads them through gauges, so the struct has no
+ * dumb aggregate: the digest fold must never see these fields, and
+ * core::addLoadPoint exports them as they are, so the struct has no
  * behaviour beyond two derived ratios.
  */
 

@@ -125,7 +125,7 @@ class MemoryHierarchy
     std::uint64_t dramTransfers() const { return dram_transfers_; }
     std::uint64_t prefetchesIssued() const { return prefetch_issued_; }
 
-    /** Snapshot every counter for SimResult / the stats registry. */
+    /** Snapshot every counter for SimResult. */
     MemStats stats() const;
 
   private:

@@ -3,22 +3,21 @@
 #include <fstream>
 
 #include "common/logging.hh"
-#include "obs/latency_probe.hh"
-#include "stats/cycle_breakdown.hh"
-#include "stats/fault_stats.hh"
 #include "stats/histogram.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
 namespace obs
 {
 
-namespace
+MetricsSnapshot::MetricsSnapshot()
 {
+    root_["schema_version"] = kSchemaVersion;
+}
 
-Json
-latencyJson(const stats::LatencyTracker &t, double scale)
+void
+MetricsSnapshot::addLatency(const std::string &name,
+                            const stats::LatencyTracker &t, double scale)
 {
     Json j = Json::object();
     j["count"] = static_cast<std::uint64_t>(t.count());
@@ -27,98 +26,7 @@ latencyJson(const stats::LatencyTracker &t, double scale)
     j["p90"] = t.percentile(0.90) * scale;
     j["p99"] = t.percentile(0.99) * scale;
     j["max"] = t.max() * scale;
-    return j;
-}
-
-} // namespace
-
-MetricsSnapshot::MetricsSnapshot()
-{
-    root_["schema_version"] = kSchemaVersion;
-}
-
-void
-MetricsSnapshot::set(const std::string &name, double value)
-{
-    root_["scalars"][name] = value;
-}
-
-void
-MetricsSnapshot::set(const std::string &name, std::uint64_t value)
-{
-    root_["scalars"][name] = value;
-}
-
-void
-MetricsSnapshot::addRegistry(const stats::StatRegistry &reg,
-                             const std::string &prefix)
-{
-    reg.forEach([&](const std::string &name, double value,
-                    const std::string &) {
-        root_["scalars"][prefix + name] = value;
-    });
-}
-
-void
-MetricsSnapshot::addLatency(const std::string &name,
-                            const stats::LatencyTracker &t, double scale)
-{
-    root_["latency"][name] = latencyJson(t, scale);
-}
-
-void
-MetricsSnapshot::addLogHistogram(const std::string &name,
-                                 const stats::LogHistogram &h)
-{
-    Json j = Json::object();
-    Json &buckets = j["buckets"];
-    buckets = Json::array();
-    for (std::size_t i = 0; i < h.bucketCount(); ++i) {
-        Json b = Json::object();
-        b["mid"] = h.bucketMid(i);
-        b["count"] = h.bucketValue(i);
-        buckets.append(std::move(b));
-    }
-    j["underflows"] = h.underflows();
-    j["overflows"] = h.overflows();
-    root_["log_histograms"][name] = std::move(j);
-}
-
-void
-MetricsSnapshot::addCycleBreakdown(const std::string &name,
-                                   const stats::CycleBreakdown &b)
-{
-    Json j = Json::object();
-    j["working"] = b.get(stats::CycleClass::Working);
-    j["dummy"] = b.get(stats::CycleClass::Dummy);
-    j["idle"] = b.get(stats::CycleClass::Idle);
-    j["other"] = b.get(stats::CycleClass::Other);
-    j["total"] = b.total();
-    root_["cycle_breakdown"][name] = std::move(j);
-}
-
-void
-MetricsSnapshot::addFaultStats(const std::string &name,
-                               const stats::FaultStats &fs)
-{
-    Json j = Json::object();
-    j["dram_corrected"] = fs.dram_corrected;
-    j["dram_uncorrectable"] = fs.dram_uncorrectable;
-    j["host_drops"] = fs.host_drops;
-    j["host_corruptions"] = fs.host_corruptions;
-    j["mmu_hangs"] = fs.mmu_hangs;
-    j["host_retries"] = fs.host_retries;
-    j["host_give_ups"] = fs.host_give_ups;
-    j["watchdog_resets"] = fs.watchdog_resets;
-    j["checkpoints_written"] = fs.checkpoints_written;
-    j["rollbacks"] = fs.rollbacks;
-    j["lost_training_iterations"] = fs.lost_training_iterations;
-    j["shed_requests"] = fs.shed_requests;
-    j["storms_entered"] = fs.storms_entered;
-    j["downtime_cycles"] = static_cast<std::uint64_t>(fs.downtime_cycles);
-    j["total_faults"] = fs.totalFaults();
-    j["recovery"] = latencyJson(fs.recovery_cycles, 1.0);
-    root_["fault_stats"][name] = std::move(j);
+    root_["latency"][name] = std::move(j);
 }
 
 bool

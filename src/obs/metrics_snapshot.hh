@@ -7,15 +7,10 @@
  *
  *   {
  *     "schema_version": 1,
- *     "scalars":         { "<name>": <number>, ... },
- *     "latency":         { "<name>": {count, mean, p50, p90, p99, max} },
- *     "log_histograms":  { "<name>": {buckets: [{mid, count}...],
- *                                     underflows, overflows} },
- *     "cycle_breakdown": { "<name>": {working, dummy, idle, other,
- *                                     total} },
- *     "fault_stats":     { "<name>": {<every FaultStats counter>,
- *                                     recovery: {...percentiles...}} },
- *     ...free-form sections added via section()...
+ *     "latency": { "<name>": {count, mean, p50, p90, p99, max} },
+ *     ...free-form sections added via section() -- the sweep
+ *        exporters (core::addLoadPoint, cluster::add*Point) and the
+ *        bench harness write theirs this way...
  *   }
  *
  * Serialization is deterministic -- objects sorted by key, shortest
@@ -37,11 +32,7 @@ namespace equinox
 {
 namespace stats
 {
-class CycleBreakdown;
 class LatencyTracker;
-class LogHistogram;
-class StatRegistry;
-struct FaultStats;
 }
 
 namespace obs
@@ -55,30 +46,10 @@ class MetricsSnapshot
 
     MetricsSnapshot();
 
-    /** Scalar under "scalars" (dotted names encouraged: "mmu.busy"). */
-    void set(const std::string &name, double value);
-    void set(const std::string &name, std::uint64_t value);
-
-    /** Every entry of @p reg under "scalars" as "<prefix><name>". */
-    void addRegistry(const stats::StatRegistry &reg,
-                     const std::string &prefix = "");
-
     /** Exact percentile summary of @p t under "latency.<name>". */
     void addLatency(const std::string &name,
                     const stats::LatencyTracker &t,
                     double scale = 1.0);
-
-    /** Bucket dump of @p h under "log_histograms.<name>". */
-    void addLogHistogram(const std::string &name,
-                         const stats::LogHistogram &h);
-
-    /** Figure-8 cycle classes under "cycle_breakdown.<name>". */
-    void addCycleBreakdown(const std::string &name,
-                           const stats::CycleBreakdown &b);
-
-    /** Every fault/recovery counter under "fault_stats.<name>". */
-    void addFaultStats(const std::string &name,
-                       const stats::FaultStats &fs);
 
     /** Free-form top-level section (created on first access). */
     Json &section(const std::string &name) { return root_[name]; }

@@ -12,7 +12,6 @@
 #include "sim/blocks/request_dispatcher.hh"
 #include "sim/blocks/train_prefetcher.hh"
 #include "sim/result_digest.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
@@ -86,97 +85,6 @@ void
 Accelerator::setTraceSink(TraceSink *sink)
 {
     ctx.trace = sink;
-}
-
-void
-Accelerator::registerStats(stats::StatRegistry &reg)
-{
-    for (auto *b : ctx.blocks)
-        b->registerStats(reg);
-    // Memory-hierarchy gauges exist only for non-trivial hierarchies:
-    // the passthrough configuration registers nothing, so the
-    // MetricsSnapshot schema (and every digest/identity test built on
-    // it) is unchanged unless a component is explicitly enabled.
-    if (!cfg.mem.passthrough()) {
-        auto mem_gauge = [this](auto field) {
-            return [this, field]() -> double {
-                return ctx.mem ? static_cast<double>(
-                                     field(ctx.mem->stats()))
-                               : 0.0;
-            };
-        };
-        reg.registerStat("mem.llc_hits",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.llc_hits;
-                         }),
-                         "LLC demand hits (run total)");
-        reg.registerStat("mem.llc_misses",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.llc_misses;
-                         }),
-                         "LLC demand misses (run total)");
-        reg.registerStat("mem.llc_evictions",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.llc_evictions;
-                         }),
-                         "LLC lines evicted (run total)");
-        reg.registerStat("mem.hit_rate",
-                         [this] {
-                             return ctx.mem ? ctx.mem->stats().hitRate()
-                                            : 0.0;
-                         },
-                         "LLC demand hit rate (run total)");
-        reg.registerStat("mem.prefetch_issued",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.prefetch_issued;
-                         }),
-                         "prefetch fills issued to DRAM (run total)");
-        reg.registerStat("mem.prefetch_useful",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.prefetch_useful;
-                         }),
-                         "prefetched lines hit by demand (run total)");
-        reg.registerStat("mem.prefetch_accuracy",
-                         [this] {
-                             return ctx.mem
-                                        ? ctx.mem->stats()
-                                              .prefetchAccuracy()
-                                        : 0.0;
-                         },
-                         "useful / issued prefetches (run total)");
-        reg.registerStat("mem.sp_fill_stalls",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.sp_fill_stalls;
-                         }),
-                         "scratchpad fills stalled on ping-pong "
-                         "headroom (run total)");
-        reg.registerStat("mem.sp_bank_switches",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.sp_bank_switches;
-                         }),
-                         "scratchpad fill-bank rotations (run total)");
-        reg.registerStat("mem.sp_occupancy_high_water",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.sp_high_water;
-                         }),
-                         "most scratchpad bytes simultaneously live");
-        reg.registerStat("mem.wb_combines",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.wb_combines;
-                         }),
-                         "stores merged into open combining entries");
-        reg.registerStat("mem.wb_occupancy",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.wb_occupancy;
-                         }),
-                         "bytes parked in the write-combining buffer");
-        reg.registerStat("mem.dram_transfers",
-                         mem_gauge([](const mem::MemStats &s) {
-                             return s.dram_transfers;
-                         }),
-                         "transfers the hierarchy issued to the DRAM "
-                         "link (run total)");
-    }
 }
 
 ContextId

@@ -30,11 +30,6 @@
 
 namespace equinox
 {
-namespace stats
-{
-class StatRegistry;
-}
-
 namespace sim
 {
 
@@ -103,9 +98,6 @@ class Accelerator
      * behaviour. The sink must outlive the runs it observes.
      */
     void setTraceSink(TraceSink *sink);
-
-    /** Register every block's counters/gauges ("<block>.<stat>"). */
-    void registerStats(stats::StatRegistry &reg);
 
   private:
     /** One full reset-and-run; run() wraps it with the FF/check-exact

@@ -1,8 +1,6 @@
 #include "sim/blocks/datapath.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <string>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -10,7 +8,6 @@
 #include "sim/blocks/fault_unit.hh"
 #include "sim/blocks/instruction_dispatcher.hh"
 #include "sim/blocks/train_prefetcher.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
@@ -63,34 +60,6 @@ Datapath::beginMeasurement()
     train_useful_ops = 0.0;
     mmu_busy_measured = 0.0;
     simd_busy_measured = 0.0;
-}
-
-void
-Datapath::registerStats(stats::StatRegistry &reg)
-{
-    reg.registerStat("datapath.mmu_busy_cycles",
-                     [this] { return mmu_busy_measured; },
-                     "MMU-occupied cycles (measured window)");
-    reg.registerStat("datapath.simd_busy_cycles",
-                     [this] { return simd_busy_measured; },
-                     "SIMD-occupied cycles (measured window)");
-    reg.registerStat("datapath.inference_useful_ops",
-                     [this] { return inf_useful_ops; },
-                     "useful inference MACs (measured window)");
-    reg.registerStat("datapath.training_useful_ops",
-                     [this] { return train_useful_ops; },
-                     "useful training MACs (measured window)");
-    // The Figure 8 cycle breakdown, one gauge per category.
-    for (unsigned c = 0;
-         c < static_cast<unsigned>(stats::CycleClass::NumClasses); ++c) {
-        auto cls = static_cast<stats::CycleClass>(c);
-        std::string label = stats::cycleClassName(cls);
-        std::transform(label.begin(), label.end(), label.begin(),
-                       [](unsigned char ch) { return std::tolower(ch); });
-        reg.registerStat("datapath.cycles_" + label,
-                         [this, cls] { return breakdown.get(cls); },
-                         "Figure 8 MMU cycles (measured window)");
-    }
 }
 
 void

@@ -42,7 +42,6 @@ class Datapath final : public SimBlock
 
     void resetRun() override;
     void beginMeasurement() override;
-    void registerStats(stats::StatRegistry &reg) override;
 
     /** Occupy the array with one inference chunk of @p batch. */
     void issueInferenceChunk(InfBatch *batch);

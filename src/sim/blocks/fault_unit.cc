@@ -7,7 +7,6 @@
 #include "sim/blocks/context.hh"
 #include "sim/blocks/instruction_dispatcher.hh"
 #include "sim/blocks/train_prefetcher.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
@@ -40,38 +39,6 @@ FaultUnit::resetRun()
     storm_check_armed = false;
     faults_seen = 0;
     recent_faults.clear();
-}
-
-void
-FaultUnit::registerStats(stats::StatRegistry &reg)
-{
-    reg.registerStat("fault_unit.faults_total",
-                     [this] {
-                         return static_cast<double>(fstats.totalFaults());
-                     },
-                     "injected faults of all kinds");
-    reg.registerStat("fault_unit.downtime_cycles",
-                     [this] {
-                         return static_cast<double>(
-                             fstats.downtime_cycles);
-                     },
-                     "cycles unavailable (hang detect + reset)");
-    reg.registerStat("fault_unit.host_retries",
-                     [this] {
-                         return static_cast<double>(fstats.host_retries);
-                     },
-                     "retried host transfers");
-    reg.registerStat("fault_unit.rollbacks",
-                     [this] {
-                         return static_cast<double>(fstats.rollbacks);
-                     },
-                     "training checkpoint restores");
-    reg.registerStat("fault_unit.storms_entered",
-                     [this] {
-                         return static_cast<double>(
-                             fstats.storms_entered);
-                     },
-                     "degradation activations");
 }
 
 void

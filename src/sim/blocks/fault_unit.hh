@@ -44,7 +44,6 @@ class FaultUnit final : public SimBlock
                  TrainPrefetcher *prefetcher_);
 
     void resetRun() override;
-    void registerStats(stats::StatRegistry &reg) override;
 
     /**
      * Validate the run's fault plan and build the injector + link

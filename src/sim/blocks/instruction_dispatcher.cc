@@ -7,7 +7,6 @@
 #include "sim/blocks/datapath.hh"
 #include "sim/blocks/fault_unit.hh"
 #include "sim/blocks/request_dispatcher.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
@@ -38,24 +37,7 @@ InstructionDispatcher::resetRun()
     exclusive_training = false;
     next_decision = 0;
     armed_wakes_.clear(); // the run's EventQueue was rebuilt
-    rounds = 0;
-    inf_issues = 0;
-    train_issues = 0;
     // last_served_ctx intentionally persists (see header).
-}
-
-void
-InstructionDispatcher::registerStats(stats::StatRegistry &reg)
-{
-    reg.registerStat("instruction_dispatcher.rounds",
-                     [this] { return static_cast<double>(rounds); },
-                     "scheduling rounds entered (run total)");
-    reg.registerStat("instruction_dispatcher.inference_issues",
-                     [this] { return static_cast<double>(inf_issues); },
-                     "inference chunks issued (run total)");
-    reg.registerStat("instruction_dispatcher.training_issues",
-                     [this] { return static_cast<double>(train_issues); },
-                     "training chunks issued (run total)");
 }
 
 InfBatch *
@@ -119,7 +101,6 @@ InstructionDispatcher::tryDispatch()
     // transient stall itself) clears the hang and re-invokes us.
     if (datapath->mmuBusy() || ctx.stopping || faults->mmuHung())
         return;
-    ++rounds;
     Tick now = ctx.events.now();
 
     InfBatch *inf = firstReadyBatch();
@@ -153,18 +134,15 @@ InstructionDispatcher::tryDispatch()
     if (inf && train_ok) {
         if (prefer_training) {
             prefer_training = false;
-            ++train_issues;
             datapath->issueTrainingChunk();
         } else {
             prefer_training = true;
-            ++inf_issues;
             datapath->issueInferenceChunk(inf);
         }
         return;
     }
     if (inf) {
         prefer_training = true;
-        ++inf_issues;
         datapath->issueInferenceChunk(inf);
         return;
     }
@@ -176,7 +154,6 @@ InstructionDispatcher::tryDispatch()
             exclusive_training = true;
             next_decision = saturatingAdd(now, turnaround);
         }
-        ++train_issues;
         datapath->issueTrainingChunk();
         return;
     }

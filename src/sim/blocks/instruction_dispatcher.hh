@@ -42,7 +42,6 @@ class InstructionDispatcher final : public SimBlock
                  FaultUnit *faults_);
 
     void resetRun() override;
-    void registerStats(stats::StatRegistry &reg) override;
 
     /**
      * Run one scheduling round: pick the next MMU occupant and issue
@@ -103,11 +102,6 @@ class InstructionDispatcher final : public SimBlock
      * calls, and byte-identical replay requires keeping that.
      */
     ContextId last_served_ctx = 0;
-
-    // observability (run totals)
-    std::uint64_t rounds = 0;          //!< dispatch rounds entered
-    std::uint64_t inf_issues = 0;      //!< inference chunks issued
-    std::uint64_t train_issues = 0;    //!< training chunks issued
 };
 
 } // namespace sim

@@ -8,7 +8,6 @@
 #include "sim/blocks/context.hh"
 #include "sim/blocks/fault_unit.hh"
 #include "sim/blocks/instruction_dispatcher.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
@@ -51,41 +50,6 @@ RequestDispatcher::beginMeasurement()
     batch_fill_sum = 0.0;
     for (auto &svc : ctx.services)
         svc->latency_cycles.reset();
-}
-
-void
-RequestDispatcher::registerStats(stats::StatRegistry &reg)
-{
-    reg.registerStat("request_dispatcher.requests_admitted",
-                     [this] {
-                         return static_cast<double>(requests_admitted);
-                     },
-                     "requests admitted to pending queues (run total)");
-    reg.registerStat("request_dispatcher.batches_formed",
-                     [this] {
-                         return static_cast<double>(batches_formed);
-                     },
-                     "batches formed (measured window)");
-    reg.registerStat("request_dispatcher.batches_incomplete",
-                     [this] {
-                         return static_cast<double>(batches_incomplete);
-                     },
-                     "padded partial batches (measured window)");
-    reg.registerStat("request_dispatcher.pending_requests",
-                     [this] {
-                         double n = 0.0;
-                         for (const auto &svc : ctx.services)
-                             n += static_cast<double>(
-                                 svc->pending.size());
-                         return n;
-                     },
-                     "raw requests awaiting batch formation (live)");
-    reg.registerStat("request_dispatcher.queued_batches",
-                     [this] {
-                         return static_cast<double>(
-                             ctx.batch_queue.size());
-                     },
-                     "formed batches in the queue port (live)");
 }
 
 void

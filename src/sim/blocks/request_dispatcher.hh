@@ -39,7 +39,6 @@ class RequestDispatcher final : public SimBlock
 
     void resetRun() override;
     void beginMeasurement() override;
-    void registerStats(stats::StatRegistry &reg) override;
 
     /**
      * Reset every installed service's run state (queues, arrival

@@ -16,11 +16,6 @@ SimBlock::SimBlock(SimContext &context, const char *block_name)
 SimBlock::~SimBlock() = default;
 
 void
-SimBlock::registerStats(stats::StatRegistry &)
-{
-}
-
-void
 SimBlock::emitSlow(TraceEventType type, ContextId svc, std::uint64_t a,
                    std::uint64_t b) const
 {

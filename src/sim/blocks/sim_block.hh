@@ -6,15 +6,13 @@
  * dispatcher, instruction dispatcher, MMU/SIMD datapath, training
  * prefetcher, fault/recovery unit). Blocks share the SimContext, talk
  * to each other through the typed ports wired by the composition root,
- * and participate in three framework seams:
+ * and participate in two framework seams:
  *
  *  - resetRun(): clear all per-run dynamic state; must not schedule
  *    events or draw randomness (run() re-seeds and re-schedules in a
  *    fixed order afterwards);
  *  - beginMeasurement(): drop measured-window accumulators when the
  *    warmup ends (again side-effect free w.r.t. simulated behaviour);
- *  - registerStats(): expose per-block cycle/occupancy counters under
- *    "<block>.<stat>" names in a stats::StatRegistry;
  *
  * plus the emit() helper that reports block events to the optional
  * TraceSink (a no-op null check when tracing is off).
@@ -32,11 +30,6 @@
 
 namespace equinox
 {
-namespace stats
-{
-class StatRegistry;
-}
-
 namespace sim
 {
 
@@ -58,9 +51,6 @@ class SimBlock
 
     /** Drop measured-window accumulators (warmup just ended). */
     virtual void beginMeasurement() {}
-
-    /** Register per-block counters/gauges under "<name>.<stat>". */
-    virtual void registerStats(stats::StatRegistry &reg);
 
   protected:
     /**

@@ -5,7 +5,6 @@
 #include "sim/blocks/context.hh"
 #include "sim/blocks/fault_unit.hh"
 #include "sim/blocks/instruction_dispatcher.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
@@ -25,33 +24,6 @@ TrainPrefetcher::connect(InstructionDispatcher *dispatcher_,
 {
     dispatcher = dispatcher_;
     faults = faults_;
-}
-
-void
-TrainPrefetcher::resetRun()
-{
-    prefetches_issued = 0;
-    prefetch_bytes = 0;
-}
-
-void
-TrainPrefetcher::registerStats(stats::StatRegistry &reg)
-{
-    reg.registerStat("train_prefetcher.prefetches_issued",
-                     [this] {
-                         return static_cast<double>(prefetches_issued);
-                     },
-                     "staging prefetch transfers issued (run total)");
-    reg.registerStat("train_prefetcher.prefetch_bytes",
-                     [this] {
-                         return static_cast<double>(prefetch_bytes);
-                     },
-                     "bytes prefetched into staging (run total)");
-    reg.registerStat("train_prefetcher.staged_bytes",
-                     [this] {
-                         return ctx.train ? ctx.train->staged_bytes : 0.0;
-                     },
-                     "operand bytes staged and unconsumed (live)");
 }
 
 void
@@ -123,8 +95,6 @@ TrainPrefetcher::pump()
         train->mem_read_cursor += chunk;
         train->prefetch_off += chunk;
         train->inflight_bytes += static_cast<double>(chunk);
-        ++prefetches_issued;
-        prefetch_bytes += chunk;
         dram::TransferFault f;
         Tick done = ctx.mem->read(ctx.events.now(), addr, chunk,
                                   dram::Priority::Low,

@@ -36,8 +36,8 @@ class TrainPrefetcher final : public SimBlock
     /** Wire control ports (composition root, once). */
     void connect(InstructionDispatcher *dispatcher_, FaultUnit *faults_);
 
-    void resetRun() override;
-    void registerStats(stats::StatRegistry &reg) override;
+    /** No per-run state of its own (run() resets the TrainState). */
+    void resetRun() override {}
 
     /**
      * Issue prefetches until staging is as full as capacity allows (or
@@ -49,10 +49,6 @@ class TrainPrefetcher final : public SimBlock
   private:
     InstructionDispatcher *dispatcher = nullptr;
     FaultUnit *faults = nullptr;
-
-    // observability (run totals)
-    std::uint64_t prefetches_issued = 0;
-    ByteCount prefetch_bytes = 0;
 };
 
 } // namespace sim

@@ -122,49 +122,5 @@ LatencyTracker::reset()
     nan_rejected = 0;
 }
 
-LogHistogram::LogHistogram(double lo, double hi, unsigned buckets_per_decade)
-    : lo_(lo)
-{
-    EQX_ASSERT(lo > 0.0 && hi > lo, "bad histogram bounds");
-    EQX_ASSERT(buckets_per_decade > 0, "bad histogram resolution");
-    log_lo = std::log10(lo);
-    bucket_width = 1.0 / static_cast<double>(buckets_per_decade);
-    double decades = std::log10(hi) - log_lo;
-    auto n = static_cast<std::size_t>(
-        std::ceil(decades * buckets_per_decade));
-    counts.assign(std::max<std::size_t>(n, 1), 0);
-}
-
-void
-LogHistogram::record(double sample)
-{
-    if (std::isnan(sample)) {
-        ++nan_rejected;
-        return;
-    }
-    if (sample < lo_) {
-        ++under;
-        return;
-    }
-    double pos = (std::log10(sample) - log_lo) / bucket_width;
-    // Range-check in floating point BEFORE converting: casting a value
-    // beyond the bucket range (or +inf) to size_t is undefined
-    // behaviour, so out-of-range samples clamp to the overflow counter
-    // without ever being converted.
-    if (!(pos < static_cast<double>(counts.size()))) {
-        ++over;
-        return;
-    }
-    ++counts[static_cast<std::size_t>(pos)];
-}
-
-double
-LogHistogram::bucketMid(std::size_t i) const
-{
-    EQX_ASSERT(i < counts.size(), "bucket index out of range");
-    double lo_edge = log_lo + bucket_width * static_cast<double>(i);
-    return std::pow(10.0, lo_edge + bucket_width * 0.5);
-}
-
 } // namespace stats
 } // namespace equinox

@@ -4,8 +4,7 @@
  *
  * The evaluation reports 99th-percentile latencies over bounded experiment
  * windows (at most a few hundred thousand requests), so we keep every sample
- * and sort lazily; this is both exact and fast enough. A log-bucketed
- * histogram view is provided for summary printing.
+ * and sort lazily; this is both exact and fast enough.
  */
 
 #ifndef EQUINOX_STATS_HISTOGRAM_HH
@@ -87,38 +86,6 @@ class LatencyTracker
     mutable std::vector<double> samples;
     mutable bool sorted = true;
     double sum = 0.0;
-    std::uint64_t nan_rejected = 0;
-};
-
-/** Fixed-width log-bucket histogram for summary output. */
-class LogHistogram
-{
-  public:
-    /**
-     * @param lo lower bound of the first bucket (must be > 0)
-     * @param hi upper bound of the last bucket
-     * @param buckets_per_decade resolution
-     */
-    LogHistogram(double lo, double hi, unsigned buckets_per_decade = 8);
-
-    void record(double sample);
-
-    std::size_t bucketCount() const { return counts.size(); }
-    std::uint64_t bucketValue(std::size_t i) const { return counts.at(i); }
-    /** Geometric midpoint of bucket i. */
-    double bucketMid(std::size_t i) const;
-    std::uint64_t underflows() const { return under; }
-    std::uint64_t overflows() const { return over; }
-    /** NaN samples rejected by record(). */
-    std::uint64_t nanRejected() const { return nan_rejected; }
-
-  private:
-    double lo_;
-    double log_lo;
-    double bucket_width; // in log10 space
-    std::vector<std::uint64_t> counts;
-    std::uint64_t under = 0;
-    std::uint64_t over = 0;
     std::uint64_t nan_rejected = 0;
 };
 

@@ -29,8 +29,6 @@
 #include "sim/blocks/trace.hh"
 #include "sim_digest.hh"
 #include "stats/cycle_breakdown.hh"
-#include "stats/fault_stats.hh"
-#include "stats/registry.hh"
 
 namespace equinox
 {
@@ -456,37 +454,27 @@ TEST(ObsLatencyProbe, SkipsServicesThatRetiredNothing)
 
 TEST(ObsSnapshot, RoundTripsEveryExporter)
 {
-    stats::StatRegistry reg;
-    reg.setValue("mmu.busy_cycles", 1234.0);
-    reg.registerStat("queue.depth", [] { return 7.0; });
-
     stats::LatencyTracker lat;
     for (double v : {1.0, 2.0, 3.0, 10.0})
         lat.record(v);
 
-    stats::LogHistogram hist(1e-6, 1.0);
-    hist.record(1e-4);
-    hist.record(2e-3);
-    hist.record(1e-9); // underflow
-
-    stats::CycleBreakdown bd;
-    bd.add(stats::CycleClass::Working, 60.0);
-    bd.add(stats::CycleClass::Idle, 40.0);
-
-    stats::FaultStats fs;
-    fs.dram_corrected = 3;
-    fs.watchdog_resets = 1;
-    fs.recovery_cycles.record(50.0);
+    // A hand-built load point that reaches every optional block of
+    // addLoadPoint: a service, faults, and an active memory hierarchy.
+    core::LoadPointResult point;
+    point.load = 0.4;
+    point.sim.mmu_breakdown.add(stats::CycleClass::Working, 60.0);
+    point.sim.mmu_breakdown.add(stats::CycleClass::Idle, 40.0);
+    point.sim.per_service.push_back({});
+    point.sim.faults.dram_corrected = 3;
+    point.sim.faults.watchdog_resets = 1;
+    point.sim.mem.active = true;
+    point.sim.mem.llc_hits = 3;
+    point.sim.mem.llc_misses = 1;
 
     MetricsSnapshot snap;
-    snap.set("run.seed", std::uint64_t{17});
-    snap.set("run.load", 0.4);
-    snap.addRegistry(reg, "sim.");
     snap.addLatency("request", lat, 1e-3);
-    snap.addLogHistogram("service", hist);
-    snap.addCycleBreakdown("mmu", bd);
-    snap.addFaultStats("run", fs);
-    snap.section("sweeps")["demo"].append(Json::object());
+    core::addLoadPoint(snap, "demo", point);
+    snap.section("bench")["seed"] = std::uint64_t{17};
 
     std::string text = snap.toJson();
     std::string error;
@@ -497,20 +485,17 @@ TEST(ObsSnapshot, RoundTripsEveryExporter)
     const Json &root = back->root();
     EXPECT_EQ(root.at("schema_version").asInt(),
               MetricsSnapshot::kSchemaVersion);
-    EXPECT_DOUBLE_EQ(
-        root.at("scalars").at("sim.mmu.busy_cycles").asDouble(), 1234.0);
-    EXPECT_DOUBLE_EQ(root.at("scalars").at("sim.queue.depth").asDouble(),
-                     7.0);
     const Json &l = root.at("latency").at("request");
     EXPECT_EQ(l.at("count").asInt(), 4);
     EXPECT_DOUBLE_EQ(l.at("max").asDouble(), 10.0 * 1e-3);
-    EXPECT_EQ(root.at("log_histograms").at("service").at("underflows")
-                  .asInt(), 1);
-    EXPECT_DOUBLE_EQ(
-        root.at("cycle_breakdown").at("mmu").at("total").asDouble(),
-        100.0);
-    EXPECT_EQ(
-        root.at("fault_stats").at("run").at("dram_corrected").asInt(), 3);
+    const Json &pt = root.at("sweeps").at("demo").at(0);
+    EXPECT_DOUBLE_EQ(pt.at("load").asDouble(), 0.4);
+    EXPECT_DOUBLE_EQ(pt.at("mmu_breakdown").at("working").asDouble(),
+                     60.0);
+    EXPECT_NE(pt.at("services").find("svc0"), nullptr);
+    EXPECT_EQ(pt.at("faults").at("total").asInt(), 3);
+    EXPECT_DOUBLE_EQ(pt.at("mem").at("hit_rate").asDouble(), 0.75);
+    EXPECT_EQ(root.at("bench").at("seed").asInt(), 17);
 }
 
 TEST(ObsSnapshot, RejectsWrongSchemaVersion)

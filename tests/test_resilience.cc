@@ -322,7 +322,8 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
     // slipped through would reach a double-to-Tick cast (backoff,
     // cooldown, warm-up) or a comparison that is silently false.
     // Rows marked finite also reject +-inf, which would saturate a
-    // Tick and silently switch their mechanism off.
+    // Tick, silently switch their mechanism off, or (burst_factor)
+    // draw an arrival candidate on every tick.
     struct Knob
     {
         const char *field; //!< substring the error must contain
@@ -359,7 +360,8 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
          [](Spec &c, double v) {
              c.resilience.hedge.enabled = true;
              c.resilience.hedge.latency_factor = v;
-         }},
+         },
+         true},
         {"hedge.max_hedge_fraction", 0.02,
          [](Spec &c, double v) {
              c.resilience.hedge.enabled = true;
@@ -369,7 +371,8 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
          [](Spec &c, double v) {
              c.resilience.shed_training_under_overload = true;
              c.resilience.training_shed_backlog = v;
-         }},
+         },
+         true},
         {"admission.background_fraction", 0.3,
          [](Spec &c, double v) {
              c.resilience.admission.background_fraction = v;
@@ -378,17 +381,20 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
          [](Spec &c, double v) {
              c.resilience.admission.policy = AdmissionPolicy::TokenBucket;
              c.resilience.admission.rate_factor = v;
-         }},
+         },
+         true},
         {"admission.burst", 32.0,
          [](Spec &c, double v) {
              c.resilience.admission.policy = AdmissionPolicy::TokenBucket;
              c.resilience.admission.burst = v;
-         }},
+         },
+         true},
         {"admission.target_backlog", 4.0,
          [](Spec &c, double v) {
              c.resilience.admission.policy = AdmissionPolicy::QueueDepth;
              c.resilience.admission.target_backlog = v;
-         }},
+         },
+         true},
         {"admission.background_watermark", 2.0,
          [](Spec &c, double v) {
              c.resilience.admission.policy =
@@ -400,12 +406,14 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
              c.resilience.admission.policy =
                  AdmissionPolicy::PriorityShed;
              c.resilience.admission.inference_watermark = v;
-         }},
+         },
+         true},
         {"breaker.latency_trip_cycles", 0.0,
          [](Spec &c, double v) {
              c.resilience.breaker.enabled = true;
              c.resilience.breaker.latency_trip_cycles = v;
-         }},
+         },
+         true},
         {"autoscaler target_p99_s", 1e-3,
          [](Spec &c, double v) {
              c.fleet.autoscaler.enabled = true;
@@ -434,12 +442,14 @@ TEST(ClusterSpecValidate, RejectsNanInEveryBoundedKnob)
          },
          true},
         {"burst_factor", 4.0,
-         [](Spec &c, double v) { c.burst_factor = v; }},
+         [](Spec &c, double v) { c.burst_factor = v; },
+         true},
         {"burst_period_s", 2e-3,
          [](Spec &c, double v) {
              c.arrival_process = sim::ArrivalProcess::Bursty;
              c.burst_period_s = v;
-         }},
+         },
+         true},
         {"outage window", 1e-3,
          [](Spec &c, double v) {
              c.replicas = 2;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/stats: percentile tracking, sliding-window
- * percentiles, histograms, cycle breakdowns and table formatting.
+ * percentiles, cycle breakdowns and table formatting.
  */
 
 #include <gtest/gtest.h>
@@ -200,50 +200,6 @@ TEST(LatencyTracker, RecordAfterQueryStaysCorrect)
     t.record(0.0);
     EXPECT_DOUBLE_EQ(t.percentile(0.5), 10.0);
     EXPECT_DOUBLE_EQ(t.max(), 20.0);
-}
-
-TEST(LogHistogram, BucketsAndOverflow)
-{
-    LogHistogram h(1.0, 1000.0, 1); // 3 buckets: [1,10), [10,100), ...
-    EXPECT_EQ(h.bucketCount(), 3u);
-    h.record(5.0);
-    h.record(50.0);
-    h.record(0.5);    // underflow
-    h.record(5000.0); // overflow
-    EXPECT_EQ(h.bucketValue(0), 1u);
-    EXPECT_EQ(h.bucketValue(1), 1u);
-    EXPECT_EQ(h.bucketValue(2), 0u);
-    EXPECT_EQ(h.underflows(), 1u);
-    EXPECT_EQ(h.overflows(), 1u);
-}
-
-TEST(LogHistogram, OutOfRangeSamplesClampWithoutUndefinedCasts)
-{
-    LogHistogram h(1.0, 1000.0, 1);
-    // NaN is rejected and counted separately; +inf and any finite value
-    // past the last bucket clamp to the overflow counter -- neither is
-    // ever converted to a bucket index (size_t casts of NaN/inf/huge
-    // doubles are undefined behaviour).
-    h.record(std::nan(""));
-    h.record(std::numeric_limits<double>::infinity());
-    h.record(1e300);
-    h.record(1000.0); // exactly the upper bound: first index past range
-    EXPECT_EQ(h.nanRejected(), 1u);
-    EXPECT_EQ(h.overflows(), 3u);
-    EXPECT_EQ(h.underflows(), 0u);
-    for (std::size_t i = 0; i < h.bucketCount(); ++i)
-        EXPECT_EQ(h.bucketValue(i), 0u);
-    // -inf and negative values fall below lo and count as underflow.
-    h.record(-std::numeric_limits<double>::infinity());
-    h.record(-5.0);
-    EXPECT_EQ(h.underflows(), 2u);
-}
-
-TEST(LogHistogram, MidpointsAreGeometric)
-{
-    LogHistogram h(1.0, 100.0, 1);
-    EXPECT_NEAR(h.bucketMid(0), std::sqrt(10.0), 1e-9);
-    EXPECT_NEAR(h.bucketMid(1), std::sqrt(1000.0), 1e-6);
 }
 
 TEST(CycleBreakdown, FractionsSumToOne)
@@ -485,69 +441,6 @@ TEST(FaultStatsMerge, MergingZeroRecordIsANoOp)
     EXPECT_EQ(a.downtime_cycles, 70u);
     EXPECT_EQ(a.recovery_cycles.count(), 1u);
     EXPECT_DOUBLE_EQ(a.recovery_cycles.mean(), 10.0);
-}
-
-} // namespace
-} // namespace stats
-} // namespace equinox
-
-// Appended: named-statistics registry tests.
-
-#include <sstream>
-
-#include "stats/registry.hh"
-
-namespace equinox
-{
-namespace stats
-{
-namespace
-{
-
-TEST(StatRegistry, RegisterAndRead)
-{
-    StatRegistry reg;
-    int counter = 0;
-    reg.registerStat("mmu.busy", [&] { return counter * 1.0; }, "cycles");
-    reg.setValue("cfg.n", 143.0);
-    EXPECT_EQ(reg.size(), 2u);
-    EXPECT_TRUE(reg.contains("mmu.busy"));
-    EXPECT_FALSE(reg.contains("mmu.idle"));
-    EXPECT_DOUBLE_EQ(reg.value("mmu.busy"), 0.0);
-    counter = 7;
-    EXPECT_DOUBLE_EQ(reg.value("mmu.busy"), 7.0); // live getter
-    EXPECT_DOUBLE_EQ(reg.value("cfg.n"), 143.0);
-}
-
-TEST(StatRegistry, ReRegistrationReplaces)
-{
-    StatRegistry reg;
-    reg.setValue("x", 1.0);
-    reg.setValue("x", 2.0);
-    EXPECT_EQ(reg.size(), 1u);
-    EXPECT_DOUBLE_EQ(reg.value("x"), 2.0);
-}
-
-TEST(StatRegistry, DumpIsSortedAndComplete)
-{
-    StatRegistry reg;
-    reg.setValue("b.second", 2.0, "two");
-    reg.setValue("a.first", 1.0, "one");
-    std::ostringstream oss;
-    reg.dump(oss);
-    std::string s = oss.str();
-    auto a_pos = s.find("a.first");
-    auto b_pos = s.find("b.second");
-    EXPECT_NE(a_pos, std::string::npos);
-    EXPECT_NE(b_pos, std::string::npos);
-    EXPECT_LT(a_pos, b_pos);
-    EXPECT_NE(s.find("two"), std::string::npos);
-}
-
-TEST(StatRegistryDeath, MissingStatIsFatal)
-{
-    StatRegistry reg;
-    EXPECT_DEATH(reg.value("nope"), "no statistic named");
 }
 
 } // namespace
